@@ -8,7 +8,7 @@ zeros in (-pi, phi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,22 +22,22 @@ class EmpiricalMeasure:
 
     tree: TreeSpec
     t: float
-    _base: int | None = field(default=None, repr=False)
 
     @property
     def total(self) -> int:
         return self.tree.vertex_count
 
-    def _count_base(self) -> int:
-        if self._base is None:
-            self._base = int(branch_count(np.array(-math.pi), self.tree, self.t))
-        return self._base
-
     def counts(self, phi):
-        """Exact number of zeros in (-pi, phi] for scalar or array phi."""
+        """Exact number of zeros in (-pi, phi] for scalar or array phi.
+
+        G is odd with G(pi) = pi|V|, so (-pi, 0] holds |V|//2 zeros and the
+        branch count adds the rest; phi <= -pi reads 0 and phi >= pi reads
+        |V| without evaluating the lift at the seam z = -1.
+        """
         phi = np.asarray(phi, dtype=float)
-        c = branch_count(phi, self.tree, self.t) - self._count_base()
-        return np.clip(c, 0, self.total)
+        inside = (phi > -math.pi) & (phi < math.pi)
+        c = branch_count(np.where(inside, phi, 0.0), self.tree, self.t) + self.total // 2
+        return np.where(inside, c, np.where(phi >= math.pi, self.total, 0))
 
 
 def empirical_cdf(phi, em: EmpiricalMeasure):

@@ -66,9 +66,12 @@ def lyapunov_acim_closed(p: ModelParams) -> float:
     chi = log|B'(w_D)| + (k-1) log|(1+t w_D)/(w_D+t)|, which telescopes to
     the stated expression.  Normalized so chi = log k at t = 0.
     """
-    w = disk_fixed_point(p)
-    t = p.t
-    return math.log(p.k * (1.0 - t * t) / abs(1.0 + w * t) ** 2)
+    return _chi_acim(disk_fixed_point(p), p.t, p.k)
+
+
+def _chi_acim(w: complex, t: float, k: int) -> float:
+    """log(k(1-t^2)/|1+w t|^2) at the disk fixed point w."""
+    return math.log(k * (1.0 - t * t) / abs(1.0 + w * t) ** 2)
 
 
 def lyapunov_acim_alt(p: ModelParams) -> float:
@@ -369,9 +372,9 @@ def kappa_curve(t: float, k: int, phis) -> list[KappaPoint]:
         if not interior_support(phi, t, k):
             out.append(KappaPoint(phi, None, math.nan, math.nan, False))
             continue
-        p = ModelParams(k, t, phi)
-        chi = lyapunov_acim_closed(p)
-        out.append(KappaPoint(phi, disk_fixed_point(p), chi, math.log(k) / chi, True))
+        w = disk_fixed_point(ModelParams(k, t, phi))
+        chi = _chi_acim(w, t, k)
+        out.append(KappaPoint(phi, w, chi, math.log(k) / chi, True))
     return out
 
 

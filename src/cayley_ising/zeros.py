@@ -1,11 +1,17 @@
 """Enumeration of Lee-Yang zeros for finite Cayley trees.
 
 A field angle phi is a zero of the level-n tree iff the n-fold composed
-lift of phi lands on pi mod 2pi.  The composed lift G is strictly
-increasing in phi with dG/dphi >= 1 and winds exactly |V| times around the
-circle as phi sweeps one period, so each zero is the unique solution of
-G(phi) = pi + 2pi*m for one branch index m and can be bracketed by
-bisection and polished by Newton.
+lift G of phi lands on pi mod 2pi.  G is odd and strictly increasing in
+phi with dG/dphi >= 1, and winds exactly |V| times around the circle as
+phi sweeps one period.  So G(pi) = pi|V|, z = 1 is never a zero, and the
+zeros are z = -1 (when |V| is odd) plus the mirror pairs +-phi_m, where
+phi_m in (0, pi) is the unique solution of G(phi) = pi + 2pi*m for
+m = 0 .. |V|//2 - 1.
+
+One pass of the lift over a uniform grid on [0, pi] counts the branches
+below each node, which brackets every phi_m in one grid cell; a
+bracket-safeguarded Newton iteration (rtsafe) then shrinks each bracket
+to one ulp of pi.
 """
 
 from __future__ import annotations
@@ -23,6 +29,16 @@ from .core import TAU, _lift, _lift_derivative, _validate_t
 SEAM_GUARD = 1e-9
 
 _CHUNK = 1 << 17
+
+# int64 winding is exact while |V| stays below this
+MAX_VERTICES = 1 << 62
+# enumerate_zeros refuses trees with more zeros than this: a solve holds
+# about 100 bytes per zero at its peak, 1.7 GB at the cap
+MAX_ZEROS = 1 << 24
+# a branch solve stops once its bracket is this wide (absolute: near phi = 0
+# a width of one ulp of phi may never be reached)
+_WIDTH = float(np.spacing(math.pi))
+_MAX_NEWTON = 200
 
 
 @dataclass(frozen=True)
@@ -94,14 +110,19 @@ def iterated_lift(phi, tree: TreeSpec, t: float, derivative: bool = False):
     """Composed lift G(phi) in split form (psi, winding[, dG/dphi]).
 
     G(phi) = psi + 2pi*winding with psi in (-pi, pi].  The winding number is
-    tracked as an exact float integer (|winding| < 2^53 for desk-scale
-    trees), so the reduced angle psi keeps full precision even when G is of
-    order 2pi*|V|; sin/cos are only ever evaluated on reduced angles.
+    an exact int64 (|winding| <= |V| for phi in [-pi, pi], and trees beyond
+    2^62 vertices are refused), so the reduced angle psi keeps full
+    precision even when G is of order 2pi*|V|; sin/cos are only ever
+    evaluated on reduced angles.
     """
     _validate_t(t)
+    if tree.vertex_count > MAX_VERTICES:
+        raise ValueError(
+            f"{tree.vertex_count} vertices exceed 2^62; the int64 winding would overflow"
+        )
     phi = np.asarray(phi, dtype=float)
     psi = _wrap_angle(phi)
-    wind = np.round((phi - psi) / TAU)
+    wind = np.round((phi - psi) / TAU).astype(np.int64)
     deriv = np.ones_like(psi)
 
     steps = [tree.k] * tree.level
@@ -112,7 +133,7 @@ def iterated_lift(phi, tree: TreeSpec, t: float, derivative: bool = False):
             deriv = _lift_derivative(psi, t, k_step) * deriv + 1.0
         raw = _lift(psi, phi, t, k_step)
         new_psi = _wrap_angle(raw)
-        wind = k_step * wind + np.round((raw - new_psi) / TAU)
+        wind = k_step * wind + np.round((raw - new_psi) / TAU).astype(np.int64)
         psi = new_psi
     if derivative:
         return psi, wind, deriv
@@ -123,7 +144,7 @@ def branch_count(phi, tree: TreeSpec, t: float):
     """Integer C(phi) counting lift branches at or below phi; the exact zero
     count on (a, b] is C(b) - C(a)."""
     psi, wind = iterated_lift(phi, tree, t)
-    return (wind + (psi >= math.pi - SEAM_GUARD)).astype(np.int64)
+    return wind + (psi >= math.pi - SEAM_GUARD)
 
 
 @dataclass(frozen=True)
@@ -145,34 +166,102 @@ class ZeroSet:
                 fh.write(f"{i},{a:.17g},{r:.17g}\n")
 
 
-def _solve_branches(targets: np.ndarray, tree: TreeSpec, t: float, tol: float):
-    """Solve G(phi) = pi + 2pi*m for a vector of branch indices m."""
-    lo = np.full(targets.shape, -math.pi)
-    hi = np.full(targets.shape, math.pi)
-    # bisection on the integer branch predicate: C(mid) > m  <=>  G(mid) >= target
-    for _ in range(54):
-        mid = 0.5 * (lo + hi)
-        above = branch_count(mid, tree, t) > targets
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    phi = hi
-    # Newton polish on the full-precision residual G(phi) - (pi + 2pi*m);
-    # near the solution winding - m is O(1), so the residual is well conditioned
-    for _ in range(2):
+def _map_chunks(fn, arrays, workers):
+    """fn over _CHUNK-sized slices of the arrays, concatenated per output.
+
+    The slicing does not depend on workers, so neither does the result."""
+    n = len(arrays[0])
+    chunks = [[a[i : i + _CHUNK] for a in arrays] for i in range(0, max(n, 1), _CHUNK)]
+    if workers and workers > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda c: fn(*c), chunks))
+    else:
+        parts = [fn(*c) for c in chunks]
+    return [np.concatenate(out) for out in zip(*parts)]
+
+
+def _solve_branches(m, lo, hi, res_lo, res_hi, d_lo, d_hi, phi, tree: TreeSpec, t: float):
+    """Solve G(phi) = pi + 2pi*m by safeguarded Newton (rtsafe) from phi.
+
+    The bracket keeps lo < root <= hi: res_* = G - pi - 2pi*m is negative at
+    lo and non-negative at hi, and d_* = G' there.  A Newton step is taken
+    only when it lands inside the bracket and at most halves the previous
+    step (a few ulp always pass); otherwise the bracket is bisected.  A
+    branch stops once hi - lo <= ulp(pi), an absolute width, so one ulp here
+    is max(ulp(phi), ulp(pi)/2); a Newton step under one ulp becomes a step
+    of one ulp towards the root, which crosses it and closes the bracket.
+    The solve returns whichever end has the smaller |res|, as
+    (phi, res, G'(phi)) in the order of m.
+    """
+    out_phi, out_res, out_d = (np.empty(len(m)) for _ in range(3))
+    active = np.arange(len(m))
+    prev = hi - lo
+    for _ in range(_MAX_NEWTON):
+        if not active.size:
+            return out_phi, out_res, out_d
         psi, wind, deriv = iterated_lift(phi, tree, t, derivative=True)
-        res = (psi - math.pi) + TAU * (wind - targets)
-        step = res / deriv
-        phi = np.clip(phi - step, lo - 1e-9, hi + 1e-9)
-    psi, wind, deriv = iterated_lift(phi, tree, t, derivative=True)
-    res = np.abs((psi - math.pi) + TAU * (wind - targets))
-    bad = res > tol * deriv
-    if np.any(bad):
-        raise RuntimeError(
-            f"{int(bad.sum())} branch solves exceeded the residual tolerance "
-            "(monotone bracketing should make this impossible)"
-        )
-    phi = np.where(phi <= -math.pi, phi + TAU, phi)
-    return phi, res
+        res = (psi - math.pi) + TAU * (wind - m)
+        below = res < 0.0
+        lo, res_lo, d_lo = (np.where(below, a, b) for a, b in ((phi, lo), (res, res_lo), (deriv, d_lo)))
+        hi, res_hi, d_hi = (np.where(below, b, a) for a, b in ((phi, hi), (res, res_hi), (deriv, d_hi)))
+
+        done = hi - lo <= _WIDTH
+        if done.any():
+            take_hi = np.abs(res_hi) < np.abs(res_lo)
+            at = active[done]
+            out_phi[at] = np.where(take_hi, hi, lo)[done]
+            out_res[at] = np.where(take_hi, res_hi, res_lo)[done]
+            out_d[at] = np.where(take_hi, d_hi, d_lo)[done]
+            keep = ~done
+            active, m, lo, hi, res_lo, res_hi, d_lo, d_hi, phi, prev, res, deriv = (
+                a[keep] for a in (active, m, lo, hi, res_lo, res_hi, d_lo, d_hi, phi, prev, res, deriv)
+            )
+
+        newton = res / deriv
+        ulp = np.maximum(np.spacing(phi), 0.5 * _WIDTH)
+        trial = phi - newton
+        accept = (trial > lo) & (trial < hi) & (np.abs(newton) <= np.maximum(0.5 * np.abs(prev), 4.0 * ulp))
+        step = np.where(accept, newton, phi - 0.5 * (lo + hi))
+        step = np.where(np.abs(newton) < ulp, np.where(res < 0.0, -ulp, ulp), step)
+        phi = phi - step
+        prev = step
+    raise RuntimeError(
+        f"{len(active)} branch solves did not close their bracket in {_MAX_NEWTON} iterations"
+    )
+
+
+def _brackets(tree: TreeSpec, t: float, workers):
+    """Grid pass: for each branch m < |V|//2, the grid cell (lo, hi] that
+    holds phi_m, with res and G' at its ends and a secant start inside it.
+
+    C0 = wind + (psi >= pi) counts the branches m >= 0 with G >= pi + 2pi*m,
+    so C0 <= m exactly where res < 0.  G(0) = 0 and G(pi) = pi|V| are exact;
+    z = -1 is a repelling fixed point, so the lift is never evaluated at pi.
+    """
+    n_zeros = zero_count(tree)
+    half, odd = divmod(n_zeros, 2)
+    nodes = np.linspace(0.0, math.pi, n_zeros + 1)
+    psi, wind, deriv = _map_chunks(
+        lambda x: iterated_lift(x, tree, t, derivative=True), [nodes[1:-1]], workers
+    )
+    psi = np.concatenate([[0.0], psi, [math.pi if odd else 0.0]])
+    wind = np.concatenate([[0], wind, [half]])
+    deriv = np.concatenate([[math.nan], deriv, [math.nan]])
+    # the running maximum keeps the search monotone should rounding make C0 dip
+    count = np.maximum.accumulate(wind + (psi >= math.pi))
+
+    m = np.arange(half, dtype=np.int64)
+    j_hi = np.searchsorted(count, m, side="right")
+    j_lo = j_hi - 1
+    res_lo = (psi[j_lo] - math.pi) + TAU * (wind[j_lo] - m)
+    res_hi = (psi[j_hi] - math.pi) + TAU * (wind[j_hi] - m)
+    lo, hi = nodes[j_lo], nodes[j_hi]
+    phi0 = lo + (hi - lo) * (res_lo / (res_lo - res_hi))
+    phi0 = np.where((phi0 > lo) & (phi0 < hi), phi0, 0.5 * (lo + hi))
+    # the exact ends 0 and pi are never returned as zeros
+    res_lo = np.where(j_lo == 0, -math.inf, res_lo)
+    res_hi = np.where(j_hi == n_zeros, math.inf, res_hi)
+    return [m, lo, hi, res_lo, res_hi, deriv[j_lo], deriv[j_hi], phi0]
 
 
 def enumerate_zeros(
@@ -185,27 +274,32 @@ def enumerate_zeros(
     tree, t : tree specification and temperature variable in [0, 1).
     tol : angular residual tolerance; each returned angle satisfies
         |G(phi) - pi - 2pi m| <= tol * G'(phi).
-    workers : number of threads for the chunked branch solves (branch
-        chunks are independent; output order is canonical regardless).
+    workers : number of threads for the chunked lift passes (chunks are
+        independent and fixed in size; the output does not depend on it).
+
+    Only the |V|//2 zeros in (0, pi) are solved; the rest are their mirror
+    images and, for odd |V|, exactly pi.
     """
     _validate_t(t)
     if tol <= 0:
         raise ValueError("tol must be positive")
     n_zeros = zero_count(tree)
-    base = int(branch_count(np.array(-math.pi), tree, t))
-    targets = base + np.arange(n_zeros, dtype=float)
+    if n_zeros > MAX_ZEROS:
+        raise ValueError(f"{n_zeros} zeros exceed the enumeration cap of {MAX_ZEROS}")
+    phi, res, deriv = _map_chunks(
+        lambda *a: _solve_branches(*a, tree, t), _brackets(tree, t, workers), workers
+    )
+    res = np.abs(res)
+    bad = ~(res <= tol * deriv)
+    if np.any(bad):
+        raise RuntimeError(f"{int(bad.sum())} branch solves exceeded the residual tolerance")
 
-    chunks = [targets[i : i + _CHUNK] for i in range(0, n_zeros, _CHUNK)]
-    if workers and workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: _solve_branches(c, tree, t, tol), chunks))
-    else:
-        parts = [_solve_branches(c, tree, t, tol) for c in chunks]
-    angles = np.concatenate([p[0] for p in parts])
-    residuals = np.concatenate([p[1] for p in parts])
-
-    order = np.argsort(angles, kind="stable")
-    return ZeroSet(tree, t, angles[order], residuals[order])
+    odd = n_zeros % 2
+    order = np.argsort(phi, kind="stable")
+    phi, res = phi[order], res[order]
+    angles = np.concatenate([-phi[::-1], phi, [math.pi] * odd])
+    residuals = np.concatenate([res[::-1], res, [0.0] * odd])
+    return ZeroSet(tree, t, angles, residuals)
 
 
 def min_positive_zero(zs: ZeroSet) -> float:

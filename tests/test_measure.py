@@ -124,3 +124,26 @@ def test_histogram_sums_to_one():
     centers, masses = histogram(m, bins=64)
     assert len(centers) == 64
     assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_counts_match_enumeration_above_half():
+    # (-pi, 0] holds |V|//2 zeros at every t; reading the count base off the
+    # lift at the seam z = -1 overcounted by one from t ~ 0.48 here
+    for t in (0.5, 0.6, 0.7):
+        m = em(n=12, t=t)
+        zs = enumerate_zeros(m.tree, m.t)
+        probes = np.linspace(-math.pi, math.pi, 4097)
+        assert m.counts(0.0) == m.total // 2
+        assert np.array_equal(m.counts(probes), np.searchsorted(zs.angles, probes, side="right"))
+
+
+def test_counts_exact_beyond_float_integers():
+    # |V| = 225141952945498681 > 2^57 at level 36: float64 would hold only
+    # multiples of 32 there, the int64 winding resolves single zeros
+    m = em(n=36, k=3, t=0.5)
+    assert m.counts(math.pi) == m.total == 225141952945498681
+    assert m.counts(-math.pi) == 0
+    phis = np.linspace(1.0, 1.0 + 1e-15, 8)
+    counts = m.counts(phis)
+    assert counts.dtype == np.int64
+    assert np.all(np.diff(counts) >= 0) and np.any(counts % 2 == 1)

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cayley_ising.zeros as zeros_module
 from cayley_ising.core import phi_e
+from cayley_ising.measure import EmpiricalMeasure
 from cayley_ising.zeros import (
+    MAX_ZEROS,
     TreeSpec,
     _wrap_angle,
     branch_count,
@@ -116,11 +121,10 @@ def test_enumerate_counts_and_symmetry():
             zs = enumerate_zeros(tree, t)
             assert len(zs) == zero_count(tree)
             assert np.all(np.diff(zs.angles) > 0)
-            # the negated multiset equals the original as circle points (the
-            # zero at pi may solve to pi - ulp, so compare circularly)
+            # the negated multiset equals the original as circle points
             assert circular_set_distance(-zs.angles, zs.angles) <= 1e-10
             if zero_count(tree) % 2 == 1:
-                assert zs.angles[-1] == pytest.approx(math.pi, abs=1e-12)
+                assert zs.angles[-1] == math.pi
 
 
 def test_enumerate_rejects_bad_t():
@@ -145,6 +149,17 @@ def test_workers_deterministic():
     assert np.array_equal(a.angles, b.angles)
 
 
+def test_workers_deterministic_across_chunks(monkeypatch):
+    # small chunks, so the grid pass and the branch solves both run on
+    # several threads
+    monkeypatch.setattr(zeros_module, "_CHUNK", 256)
+    tree = TreeSpec("rooted", 10, 2)
+    a = enumerate_zeros(tree, 0.35, workers=1)
+    b = enumerate_zeros(tree, 0.35, workers=3)
+    assert np.array_equal(a.angles, b.angles)
+    assert np.array_equal(a.residuals, b.residuals)
+
+
 def test_branch_count_matches_staircase():
     tree = TreeSpec("rooted", 6, 2)
     t = 0.5
@@ -155,3 +170,85 @@ def test_branch_count_matches_staircase():
     counts = branch_count(probes, tree, t) - base
     stair = np.searchsorted(zs.angles, probes, side="right")
     assert np.array_equal(counts, stair)
+
+
+def assert_mirror_exact(angles: np.ndarray, count: int) -> None:
+    """angles = [-pos[::-1], pos] plus pi for odd counts, bit for bit."""
+    half = count // 2
+    assert len(angles) == count
+    assert np.array_equal(-angles[:half][::-1], angles[half : 2 * half])
+    if count % 2:
+        assert angles[-1] == math.pi
+    assert np.all(angles[: 2 * half] > -math.pi) and np.all(angles[: 2 * half] < math.pi)
+
+
+_LEVELS = {2: 9, 3: 6, 4: 5}
+
+
+@st.composite
+def trees(draw):
+    k = draw(st.sampled_from(sorted(_LEVELS)))
+    variant = draw(st.sampled_from(["rooted", "full"]))
+    level = draw(st.integers(1 if variant == "full" else 0, _LEVELS[k]))
+    return TreeSpec(variant, level, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tree=trees(), t=st.floats(0.0, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_enumeration_properties(tree, t, seed):
+    """Count identity, exact mirror symmetry, and counts equal to the
+    staircase of the enumerated zeros, at any t; strict order where float64
+    resolves neighbouring zeros."""
+    zs = enumerate_zeros(tree, t)
+    count = zero_count(tree)
+    assert_mirror_exact(zs.angles, count)
+    assert np.all(np.diff(zs.angles) >= 0)
+    if t <= 0.8:
+        assert np.all(np.diff(zs.angles) > 0)
+
+    em = EmpiricalMeasure(tree, t)
+    assert em.counts(-math.pi) == 0 and em.counts(0.0) == count // 2 and em.counts(math.pi) == count
+    # probes: uniform ones, and midpoints of every gap float64 resolves
+    rng = np.random.default_rng(seed)
+    gaps = np.diff(zs.angles)
+    wide = gaps > 1e-9 * np.maximum(1.0, np.abs(zs.angles[1:]))
+    mids = zs.angles[:-1][wide] + 0.5 * gaps[wide]
+    probes = np.concatenate([rng.uniform(-math.pi, math.pi, 256), mids])
+    assert np.array_equal(em.counts(probes), np.searchsorted(zs.angles, probes, side="right"))
+
+
+@pytest.mark.parametrize(
+    "variant, level, k, t",
+    [("rooted", 14, 2, 0.9), ("rooted", 15, 2, 0.9), ("rooted", 16, 2, 0.9), ("rooted", 10, 3, 0.95)],
+)
+def test_high_t_solves_close(variant, level, k, t):
+    """Trees where Newton steps used to cross into a neighbouring branch and
+    the solve raised: all |V| angles come back, mirror-exact."""
+    tree = TreeSpec(variant, level, k)
+    zs = enumerate_zeros(tree, t)
+    assert_mirror_exact(zs.angles, zero_count(tree))
+    assert np.all(np.diff(zs.angles) >= 0)
+
+
+@pytest.mark.parametrize("level, k, t", [(8, 3, 0.7602548930412794), (15, 2, 0.2), (1, 2, 0.5)])
+def test_zero_at_minus_one_is_pi(level, k, t):
+    zs = enumerate_zeros(TreeSpec("rooted", level, k), t)
+    assert zs.angles[-1] == math.pi
+    assert zs.residuals[-1] == 0.0
+
+
+def test_winding_is_int64_and_guarded():
+    _, wind = iterated_lift(np.linspace(-3.0, 3.0, 7), TreeSpec("rooted", 36, 3), 0.5)
+    assert wind.dtype == np.int64
+    iterated_lift(0.5, TreeSpec("rooted", 61, 2), 0.5)  # 2^62 - 1 vertices
+    with pytest.raises(ValueError, match="2\\^62"):
+        iterated_lift(0.5, TreeSpec("rooted", 62, 2), 0.5)
+    with pytest.raises(ValueError, match="2\\^62"):
+        branch_count(0.5, TreeSpec("rooted", 40, 3), 0.5)
+
+
+def test_enumeration_cap_refuses_before_allocating():
+    tree = TreeSpec("rooted", 30, 2)
+    assert zero_count(tree) > MAX_ZEROS
+    with pytest.raises(ValueError, match="cap"):
+        enumerate_zeros(tree, 0.5)
