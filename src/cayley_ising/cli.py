@@ -22,6 +22,10 @@ import numpy as np
 from . import __version__, core, free_energy, measure, spectra, verify, zeros
 
 
+# _parse_grid refuses grids longer than this before allocating them
+MAX_GRID_POINTS = 1 << 20
+
+
 class ConfigError(ValueError):
     pass
 
@@ -45,7 +49,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ConfigError(f"grid must be start:stop:step, got {text!r}") from exc
     if step <= 0 or stop < start:
         raise ConfigError(f"bad grid {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    count = int(math.floor(span)) + 1
     return start + step * np.arange(count)
 
 

@@ -25,10 +25,6 @@ class NoGapError(ValueError):
     """Raised when the zero-free arc is requested below the critical temperature."""
 
 
-class ExpansionUnavailableError(ValueError):
-    """Raised when an expansion certificate is requested on or above the gap-edge curve."""
-
-
 def _validate_t(t: float) -> None:
     if not (0.0 <= t < 1.0):
         raise ValueError(f"temperature variable t must lie in [0, 1), got {t}")
@@ -82,24 +78,6 @@ def lift_derivative(theta, p: ModelParams):
 
 def _lift_derivative(theta, t, k):
     return k * (1.0 - t * t) / (1.0 + 2.0 * t * np.cos(theta) + t * t)
-
-
-@dataclass(frozen=True)
-class LiftOrbit:
-    final: float
-    log_deriv_sum: float
-
-
-def lift_orbit(n: int, p: ModelParams, theta0: float) -> LiftOrbit:
-    """Iterate the lift n times from theta0, accumulating sum(log lift')."""
-    if n < 0:
-        raise ValueError("iterate count must be >= 0")
-    theta = float(theta0)
-    logsum = 0.0
-    for _ in range(n):
-        logsum += math.log(_lift_derivative(theta, p.t, p.k))
-        theta = float(_lift(theta, p.phi, p.t, p.k))
-    return LiftOrbit(theta, logsum)
 
 
 # ---------------------------------------------------------------------------
@@ -239,51 +217,3 @@ def interior_support(phi: float, t: float, k: int) -> bool:
         return True
     return abs(math.remainder(phi, TAU)) > phi_e(t, k)
 
-
-# ---------------------------------------------------------------------------
-# expansion certificate
-
-
-@dataclass(frozen=True)
-class ExpansionCertificate:
-    c: float
-    lam: float
-    n_probe: int
-    grid_size: int
-
-
-def expansion_certificate(
-    p: ModelParams, n_probe: int = 12, grid_size: int = 4096, margin: float = 1e-6
-) -> ExpansionCertificate:
-    """Fit (c, lambda) with lambda > 1 so that every sampled orbit satisfies
-    prod lift'(theta_j) >= c * lambda^m for 1 <= m <= n_probe.
-
-    Above the critical temperature single steps can contract (min lift' < 1),
-    so lambda is taken from the tail growth rate of the worst-case products
-    and c absorbs the early dips (c <= 1 there; c = 1 when the one-step
-    minimum already expands).  Refuses parameters on or above the gap-edge
-    curve, where expansion fails.
-    """
-    if n_probe < 2:
-        raise ValueError("n_probe must be at least 2")
-    if not interior_support(p.phi, p.t, p.k):
-        raise ExpansionUnavailableError(
-            f"(phi={p.phi}, t={p.t}) is not strictly below the gap-edge curve; "
-            "expansion is not guaranteed there"
-        )
-    theta = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
-    logprod = np.zeros_like(theta)
-    mins = np.empty(n_probe)
-    for m in range(1, n_probe + 1):
-        logprod += np.log(_lift_derivative(theta, p.t, p.k))
-        theta = _lift(theta, p.phi, p.t, p.k)
-        mins[m - 1] = logprod.min()
-    m1 = max(n_probe // 2, 1)
-    log_lam = (mins[n_probe - 1] - mins[m1 - 1]) / (n_probe - m1)
-    lam = math.exp(log_lam)
-    if lam <= 1.0 + margin:
-        raise ExpansionUnavailableError(
-            f"fitted expansion rate {lam} is not above 1 + {margin}; certificate rejected"
-        )
-    log_c = min(mins[m - 1] - m * log_lam for m in range(1, n_probe + 1))
-    return ExpansionCertificate(math.exp(log_c), lam, n_probe, grid_size)

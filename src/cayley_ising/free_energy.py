@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .measure import EmpiricalMeasure, symmetric_mass
-from .spectra import pointwise_dimension
+from .spectra import log_log_fit, pointwise_dimension
 from .zeros import TreeSpec, enumerate_zeros
 
 
@@ -71,10 +71,9 @@ def free_energy_recursive(z: complex, t: float, k: int, n: int, variant: str = "
     if z == 0:
         raise ValueError("z = 0 is a pole of the field term")
     tree = TreeSpec(variant, n, k)
-    steps = [k] * n if variant == "rooted" else [k] * (n - 1) + [k + 1]
     w = complex(z)
     log_zplus = -0.5 * math.log(abs(z))
-    for k_step in steps:
+    for k_step in tree.steps:
         log_zplus = (
             -0.5 * math.log(abs(z))
             - 0.5 * k_step * math.log(t)
@@ -212,19 +211,13 @@ def singular_exponent(
     h_vals = np.array([singular_part(float(y), phi, t, k, m, em, delta0) for y in ys])
     if np.any(h_vals <= 0.0):
         raise ValueError("singular part vanished on the y grid; enlarge delta0 or the level")
-    x = np.log(ys)
-    yv = np.log(h_vals)
-    slope, intercept = np.polyfit(x, yv, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((yv - fitted) ** 2))
-    ss_tot = float(np.sum((yv - yv.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, r2, fitted = log_log_fit(ys, h_vals)
     stable = bool(r2 >= r2_threshold)
     if not stable:
         warnings.warn(f"singular-exponent fit unstable: R^2 = {r2:.4f} < {r2_threshold}", stacklevel=2)
     return SingularFit(
-        float(slope), r2, int(m), tuple(map(float, ys)), tuple(map(float, h_vals)),
-        tuple(map(float, np.exp(fitted))), stable,
+        slope, r2, int(m), tuple(map(float, ys)), tuple(map(float, h_vals)),
+        tuple(map(float, fitted)), stable,
     )
 
 

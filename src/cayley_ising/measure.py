@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import critical_temperature
-from .zeros import TreeSpec, ZeroSet, branch_count, enumerate_zeros, iterated_lift
+from .zeros import TreeSpec, branch_count, enumerate_zeros, iterated_lift
 
 
 @dataclass
@@ -133,7 +133,3 @@ def write_histogram_csv(path, em: EmpiricalMeasure, bins: int = 360) -> None:
         fh.write("bin_center,mass\n")
         for x, y in zip(centers, masses):
             fh.write(f"{x:.17g},{y:.17g}\n")
-
-
-def zero_set(em: EmpiricalMeasure, tol: float = 1e-10, workers: int | None = None) -> ZeroSet:
-    return enumerate_zeros(em.tree, em.t, tol=tol, workers=workers)

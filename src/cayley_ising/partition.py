@@ -6,6 +6,15 @@ t-exponent counts unsatisfied edges.  Conditioning on the root spin gives
 the pair recursion A' = (A + tB)^k, B' = z(tA + B)^k with A_0 = 1,
 B_0 = z; the full tree composes one final step with exponent k+1.  The
 brute-force path sums Gibbs weights over all 2^|V| spin configurations.
+Both are exact in rational arithmetic; a float t is converted exactly,
+since every double is a dyadic rational.
+
+The circle roots are found without rounding.  Lee-Yang puts every root
+on the unit circle, so for the palindromic integer polynomial of degree
+2m (odd degree: z + 1 deflated first) e^{-im theta} P(e^{i theta}) is an
+integer polynomial Q(cos theta) of degree m with m simple roots in
+(-1, 1).  Descartes bisection isolates them on dyadic intervals, and
+bisection on the exact sign of Q refines each to the float angle.
 """
 
 from __future__ import annotations
@@ -24,8 +33,11 @@ MAX_RECURSION_VERTICES = 10_000
 MAX_ROOT_DEGREE = 4096
 
 
-def _is_exact(t) -> bool:
-    return isinstance(t, (Fraction, int)) and not isinstance(t, bool)
+def _exact_t(t) -> Fraction:
+    t = Fraction(t)
+    if not (0 <= t <= 1):
+        raise ValueError(f"temperature variable t must lie in [0, 1], got {t}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -33,12 +45,8 @@ class PartitionPolynomial:
     """Coefficients c_0..c_|V| of the cleared-denominator partition function."""
 
     tree: TreeSpec
-    t: object  # Fraction for the exact path, float otherwise
+    t: Fraction
     coeffs: tuple
-
-    @property
-    def exact(self) -> bool:
-        return _is_exact(self.t)
 
     @property
     def degree(self) -> int:
@@ -51,106 +59,69 @@ class PartitionPolynomial:
         return acc
 
     def write_json(self, path) -> None:
-        if self.exact:
-            coeffs = [f"{c.numerator}/{c.denominator}" for c in map(Fraction, self.coeffs)]
-        else:
-            coeffs = [float(c) for c in self.coeffs]
         doc = {
             "schema_version": 1,
             "variant": self.tree.variant,
             "level": self.tree.level,
             "k": self.tree.k,
             "t": str(self.t),
-            "exact": self.exact,
-            "coefficients": coeffs,
+            "exact": True,
+            "coefficients": [f"{c.numerator}/{c.denominator}" for c in map(Fraction, self.coeffs)],
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
 
 
-def _poly_mul(a, b, exact: bool):
-    if exact:
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-    return np.convolve(a, b)
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
-def _poly_pow(a, k: int, exact: bool):
-    result = [Fraction(1)] if exact else np.array([1.0], dtype=np.longdouble)
+def _poly_pow(a, k: int):
+    result = [Fraction(1)]
     base = a
     # binary powering keeps the number of long convolutions at O(log k)
     while k > 0:
         if k & 1:
-            result = _poly_mul(result, base, exact)
+            result = _poly_mul(result, base)
         k >>= 1
         if k:
-            base = _poly_mul(base, base, exact)
+            base = _poly_mul(base, base)
     return result
 
 
-def _poly_add(a, b, exact: bool):
-    if exact:
-        n = max(len(a), len(b))
-        out = [Fraction(0)] * n
-        for i, x in enumerate(a):
-            out[i] += x
-        for i, x in enumerate(b):
-            out[i] += x
-        return out
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=np.longdouble)
-    out[: len(a)] += a
-    out[: len(b)] += b
+def _poly_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] += x
     return out
 
 
-def _shift(a, exact: bool):
-    """Multiply by z."""
-    if exact:
-        return [Fraction(0)] + list(a)
-    return np.concatenate([[np.longdouble(0.0)], a])
-
-
 def partition_poly_recursive(tree: TreeSpec, t) -> PartitionPolynomial:
-    """Exact (rational t) or longdouble (real t) conditional-pair recursion."""
+    """Exact conditional-pair recursion for rational (or float) t in [0, 1]."""
     if tree.vertex_count > MAX_RECURSION_VERTICES:
         raise ValueError(
             f"tree has {tree.vertex_count} vertices; the coefficient recursion is "
             f"capped at {MAX_RECURSION_VERTICES} (rational magnitudes and memory grow "
             "beyond desk scale past this point)"
         )
-    exact = _is_exact(t)
-    if exact:
-        t = Fraction(t)
-        a = [Fraction(1)]
-        b = [Fraction(0), Fraction(1)]
-    else:
-        t = float(t)
-        if not (0.0 <= t <= 1.0):
-            raise ValueError(f"temperature variable t must lie in [0, 1], got {t}")
-        t = np.longdouble(t)
-        a = np.array([1.0], dtype=np.longdouble)
-        b = np.array([0.0, 1.0], dtype=np.longdouble)
-
-    steps = [tree.k] * tree.level
-    if tree.variant == "full":
-        steps = [tree.k] * (tree.level - 1) + [tree.k + 1]
-    for k_step in steps:
-        plus = _poly_add(a, [t * c for c in b] if exact else t * b, exact)
-        minus = _poly_add([t * c for c in a] if exact else t * a, b, exact)
-        a = _poly_pow(plus, k_step, exact)
-        b = _shift(_poly_pow(minus, k_step, exact), exact)
-
-    coeffs = _poly_add(a, b, exact)
-    if exact:
-        return PartitionPolynomial(tree, t, tuple(coeffs))
-    return PartitionPolynomial(tree, float(t), tuple(float(c) for c in coeffs))
+    t = _exact_t(t)
+    a = [Fraction(1)]
+    b = [Fraction(0), Fraction(1)]
+    for k_step in tree.steps:
+        plus = _poly_add(a, [t * c for c in b])
+        minus = _poly_add([t * c for c in a], b)
+        a = _poly_pow(plus, k_step)
+        b = [Fraction(0)] + _poly_pow(minus, k_step)  # times z
+    return PartitionPolynomial(tree, t, tuple(_poly_add(a, b)))
 
 
 def partition_poly_bruteforce(tree: TreeSpec, t) -> PartitionPolynomial:
@@ -164,6 +135,7 @@ def partition_poly_bruteforce(tree: TreeSpec, t) -> PartitionPolynomial:
     n_v = tree.vertex_count
     if n_v > MAX_BRUTEFORCE_VERTICES:
         raise ValueError(f"brute force is capped at {MAX_BRUTEFORCE_VERTICES} vertices, tree has {n_v}")
+    t = _exact_t(t)
     edges = tree.edges()
     n_e = len(edges)
     configs = np.arange(1 << n_v, dtype=np.uint64)
@@ -174,30 +146,161 @@ def partition_poly_bruteforce(tree: TreeSpec, t) -> PartitionPolynomial:
     hist = np.bincount(downs * (n_e + 1) + unsat, minlength=(n_v + 1) * (n_e + 1))
     hist = hist.reshape(n_v + 1, n_e + 1)
 
-    exact = _is_exact(t)
-    tq = Fraction(t) if exact else np.longdouble(t)
-    powers = [tq**u for u in range(n_e + 1)]
-    coeffs = []
-    for j in range(n_v + 1):
-        acc = Fraction(0) if exact else np.longdouble(0.0)
-        for u in range(n_e + 1):
-            hcount = int(hist[j, u])
-            if hcount:
-                acc += hcount * powers[u]
-        coeffs.append(acc if exact else float(acc))
-    return PartitionPolynomial(tree, t if exact else float(t), tuple(coeffs))
+    powers = [t**u for u in range(n_e + 1)]
+    coeffs = tuple(
+        sum((int(h) * powers[u] for u, h in enumerate(row) if h), Fraction(0)) for row in hist
+    )
+    return PartitionPolynomial(tree, t, coeffs)
 
 
 # ---------------------------------------------------------------------------
-# root finding on the unit circle in 80-bit extended precision
-#
-# A real palindromic polynomial with positive coefficients has
-# R(theta) := Re(e^{-i d theta/2} p(e^{i theta})) real, even in theta, and
-# changing sign at every simple circle root; |R| = |p| on the circle.  All
-# roots are isolated by adaptive sign scanning of R with a rigorous prune
-# (no root can hide in an interval whose endpoint values both exceed
-# B'*width/2, B' a global bound on |R'|), then polished by bisection+Newton.
-# Conjugate symmetry is enforced structurally by scanning only [0, pi].
+# exact root isolation on the unit circle
+
+
+def _taylor_shift(a):
+    """Coefficients of a(y + 1)."""
+    a = list(a)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _descartes(f) -> int:
+    """Sign variations of (1+y)^m f(1/(1+y)), capped at 2: an upper bound on
+    the number of roots of f in (0, 1), exact when it reads 0 or 1."""
+    count, last = 0, 0
+    for c in _taylor_shift(f[::-1]):
+        if c:
+            if last and (c > 0) != (last > 0):
+                count += 1
+                if count == 2:
+                    return 2
+            last = c
+    return count
+
+
+def _halve(f):
+    """2^m f(y/2), with the common power of two divided out."""
+    m = len(f) - 1
+    g = [c << (m - i) for i, c in enumerate(f)]
+    shift = min(((c & -c).bit_length() - 1 for c in g if c), default=0)
+    return [c >> shift for c in g]
+
+
+def _circle_polynomial(coeffs) -> list[int]:
+    """Integer R(y) = Q(2y - 1), where Q(cos theta) = e^{-im theta} P(e^{i theta})
+    for the degree-2m palindrome P (z + 1 deflated first at odd degree)."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    a = [int(Fraction(c) * den) for c in coeffs]
+    if len(a) % 2 == 0:
+        # odd degree: spin-flip symmetry puts a root exactly at z = -1
+        s = [0] * (len(a) - 1)
+        s[-1] = a[-1]
+        for j in range(len(a) - 2, 0, -1):
+            s[j - 1] = a[j] - s[j]
+        if a[0] != s[0]:
+            raise RuntimeError("odd-degree palindrome failed exact deflation at z = -1")
+        a = s
+    m = (len(a) - 1) // 2
+    # Q = a_m + 2 sum_j a_{m+j} T_j(x), with T_{j+1} = 2x T_j - T_{j-1}
+    q = [a[m]] + [0] * m
+    t_prev, t_cur = [1], [0, 1]
+    for j in range(1, m + 1):
+        for i, c in enumerate(t_cur):
+            q[i] += 2 * a[m + j] * c
+        t_next = [0] + [2 * c for c in t_cur]
+        for i, c in enumerate(t_prev):
+            t_next[i] -= c
+        t_prev, t_cur = t_cur, t_next
+    # x = 2y - 1: shift by -1 (mirror, shift by +1, mirror back), then scale
+    r = _taylor_shift([c if i % 2 == 0 else -c for i, c in enumerate(q)])
+    r = [(c if i % 2 == 0 else -c) << i for i, c in enumerate(r)]
+    g = math.gcd(*r)
+    return [c // g for c in r]
+
+
+def _depth_cap(r) -> int:
+    """Bisection depth past which Descartes' test can only keep reading >= 2
+    on a multiple root.
+
+    A reading >= 2 on a width-w interval puts two roots within sqrt(3) w of
+    each other (two-circle theorem), and Mahler's bound keeps distinct roots
+    of a squarefree integer polynomial of degree m more than
+    sqrt(3) m^{-(m+2)/2} ||r||_2^{1-m} apart.  ||r||_2 is bounded through
+    bit lengths, so no float ever holds the coefficients.
+    """
+    m = len(r) - 1
+    if m < 2:
+        return 0
+    log2_norm = max(abs(c).bit_length() for c in r) + 0.5 * math.log2(m + 1)
+    return math.ceil(0.5 * (m + 2) * math.log2(m) + (m - 1) * log2_norm) + 1
+
+
+def _isolate(r):
+    """Exact roots and isolating intervals of r in (0, 1), as dyadic
+    (numerator, exponent) pairs: y = c/2^e, or (c/2^e, (c+1)/2^e)."""
+    cap = _depth_cap(r)
+    exact, intervals = [], []
+    stack = [(0, 0, r)]
+    while stack:
+        c, e, f = stack.pop()
+        v = _descartes(f)
+        if v == 1:
+            intervals.append((c, e))
+        elif v == 2:
+            if e >= cap:
+                raise RuntimeError(
+                    f"root isolation passed the separation bound of {cap} bisections; "
+                    "the circle polynomial has a multiple root"
+                )
+            left = _halve(f)
+            right = _taylor_shift(left)
+            if right[0] == 0:
+                exact.append((2 * c + 1, e + 1))
+            stack.append((2 * c, e + 1, left))
+            stack.append((2 * c + 1, e + 1, right))
+    return exact, intervals
+
+
+def _sign(r, c: int, e: int) -> int:
+    """Sign of r(c/2^e), exactly."""
+    acc = r[-1]
+    m = len(r) - 1
+    for i in range(m - 1, -1, -1):
+        acc = acc * c + (r[i] << (e * (m - i)))
+    return (acc > 0) - (acc < 0)
+
+
+def _angle(c: int, e: int) -> float:
+    """theta with cos^2(theta/2) = y = c/2^e; y and 1 - y are exact before
+    rounding, which keeps full relative precision near 0 and pi."""
+    den = 1 << e
+    return 2.0 * math.atan2(math.sqrt((den - c) / den), math.sqrt(c / den))
+
+
+def _refine(r, c: int, e: int) -> float:
+    """Bisect the isolating interval (c/2^e, (c+1)/2^e) on the exact sign of
+    r until the angles at its ends are within 2 ulp; return their mean."""
+    s_lo = _sign(r, c, e)
+    if s_lo == 0:
+        # the left end is another (simple) root: take the sign of r' there
+        s_lo = _sign([i * x for i, x in enumerate(r)][1:], c, e)
+    lo, hi = c, c + 1
+    while True:
+        a_lo, a_hi = _angle(lo, e), _angle(hi, e)
+        if a_lo - a_hi <= 2.0 * math.ulp(a_lo):
+            return 0.5 * (a_lo + a_hi)
+        lo, hi, e = 2 * lo, 2 * hi, e + 1
+        mid = lo + 1
+        s_mid = _sign(r, mid, e)
+        if s_mid == 0:
+            return _angle(mid, e)
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _horner(x, c):
@@ -207,273 +310,49 @@ def _horner(x, c):
     return acc
 
 
-_SHIFT_WINDOW = 0.8  # use the Taylor-at--1 form for pi - theta below this
-
-
-class _CircleForm:
-    """Evaluator for R(theta) = Re(e^{-id theta/2} p(e^{i theta})).
-
-    Direct Horner cancels catastrophically near the root cluster at
-    theta = pi, so inside a window around pi the polynomial is evaluated
-    through its Taylor expansion at z = -1 (computed by an exact rational
-    shift), writing z + 1 = 2 sin(m/2) i e^{-im/2} with m = pi - theta so
-    every factor is well conditioned.  A per-point running error bound
-    (abs-value Horner) flags the rare still-shaky values, which are then
-    settled with mpmath at exact-sign precision.
-    """
-
-    def __init__(self, coeffs_ld: np.ndarray, exact_coeffs=None):
-        self.coeffs = coeffs_ld
-        self.d = len(coeffs_ld) - 1
-        self.sum_abs = np.longdouble(np.sum(np.abs(coeffs_ld)))
-        self.log10_sum_abs = float(np.log10(self.sum_abs))
-        self.eps = np.longdouble(1.1e-19) * 8.0 * (self.d + 1)
-        self.deriv_bound = np.longdouble(
-            np.sum(np.abs(coeffs_ld) * np.abs(np.arange(self.d + 1) - self.d / 2.0))
-        )
-        self._exact = (
-            [Fraction(c) for c in exact_coeffs]
-            if exact_coeffs is not None
-            else [Fraction(float(c)) for c in coeffs_ld]
-        )
-        self._shift = None
-        self._shift_exact = None
-        self._shift_log10 = None
-        self.mp_fallbacks = 0
-
-    def _shift_coeffs(self):
-        """Exact Taylor coefficients of p at z = -1, as longdouble."""
-        if self._shift is None:
-            b = list(self._exact)
-            d = self.d
-            for i in range(d + 1):
-                for j in range(d - 1, i - 1, -1):
-                    b[j] -= b[j + 1]
-            self._shift_exact = b
-            q = np.array([np.longdouble(c.numerator) / np.longdouble(c.denominator) for c in b])
-            self._shift = (q.astype(np.clongdouble), np.abs(q))
-            log2_10 = math.log10(2.0)
-            self._shift_log10 = np.array(
-                [
-                    (c.numerator.bit_length() - c.denominator.bit_length()) * log2_10
-                    if c != 0
-                    else -math.inf
-                    for c in b
-                ]
-            )
-        return self._shift
-
-    def _mp_value(self, theta_ld) -> float:
-        """Sign-exact evaluation of R at one angle, escalating precision until
-        the value provably dominates its own roundoff."""
-        import mpmath as mp
-
-        self.mp_fallbacks += 1
-        self._shift_coeffs()
-        in_window = (np.longdouble(math.pi) - theta_ld) <= _SHIFT_WINDOW
-        prec = max(40, int(self.log10_sum_abs) + 35)
-        while True:
-            with mp.workdps(prec):
-                hi = float(theta_ld)
-                th = mp.mpf(hi) + mp.mpf(float(theta_ld - np.longdouble(hi)))
-                if in_window:
-                    # truncated series around z = -1: terms below the working
-                    # floor cannot change the sign and are dropped up front
-                    mdist = mp.pi - th
-                    u = (
-                        2
-                        * mp.sin(mdist / 2)
-                        * mp.mpc(0, 1)
-                        * mp.mpc(mp.cos(mdist / 2), -mp.sin(mdist / 2))
-                    )
-                    log10_u = math.log10(abs(complex(u))) if u != 0 else -math.inf
-                    term_log = self._shift_log10 + np.arange(self.d + 1) * log10_u
-                    keep = int(np.max(np.flatnonzero(term_log > term_log.max() - prec - 10))) + 1
-                    acc = mp.mpc(0)
-                    for c in self._shift_exact[keep - 1 :: -1]:
-                        acc = acc * u + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                    half = self.d * (mp.pi - mdist) / 2
-                    scale_log = float(term_log.max())
-                else:
-                    z = mp.mpc(mp.cos(th), mp.sin(th))
-                    acc = mp.mpc(0)
-                    for c in self._exact[::-1]:
-                        acc = acc * z + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-                    half = self.d * th / 2
-                    scale_log = self.log10_sum_abs
-                val = mp.re(mp.mpc(mp.cos(half), -mp.sin(half)) * acc)
-                floor = mp.mpf(10) ** (scale_log - prec + 8)
-                if abs(val) > floor:
-                    out = float(val)
-                    if out == 0.0 and val != 0:
-                        out = math.copysign(5e-324, float(mp.sign(val)))
-                    return out
-            prec *= 2
-            if prec > 20000:
-                raise RuntimeError(
-                    "could not certify the sign of the palindromic form at "
-                    f"theta={float(theta_ld)!r} below 20000 digits; the input is "
-                    "degenerate beyond this solver's scope"
-                )
-
-    def _direct(self, theta: np.ndarray):
-        z = np.exp(1j * theta).astype(np.clongdouble)
-        phase = np.exp(-0.5j * self.d * theta).astype(np.clongdouble)
-        vals = np.real(phase * _horner(z, self.coeffs.astype(np.clongdouble))).astype(np.longdouble)
-        return vals, np.full(theta.shape, self.eps * self.sum_abs)
-
-    def _shifted(self, theta: np.ndarray):
-        q, q_abs = self._shift_coeffs()
-        m = np.longdouble(math.pi) - theta
-        u = (2.0 * np.sin(0.5 * m) * 1j * np.exp(-0.5j * m)).astype(np.clongdouble)
-        pv = _horner(u, q)
-        err = self.eps * _horner(np.abs(u).astype(np.longdouble), q_abs)
-        # e^{-id theta/2} = (-i)^d e^{id m/2}
-        phase = ((-1j) ** (self.d % 4)) * np.exp(0.5j * self.d * m).astype(np.clongdouble)
-        return np.real(phase * pv).astype(np.longdouble), err
-
-    def values(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.longdouble)
-        flat = theta.ravel()
-        vals = np.empty(flat.shape, dtype=np.longdouble)
-        errs = np.empty(flat.shape, dtype=np.longdouble)
-        near = (np.longdouble(math.pi) - flat) <= _SHIFT_WINDOW
-        if near.any():
-            vals[near], errs[near] = self._shifted(flat[near])
-        if (~near).any():
-            vals[~near], errs[~near] = self._direct(flat[~near])
-        shaky = np.flatnonzero(np.abs(vals) < errs)
-        for i in shaky:
-            vals[i] = np.longdouble(self._mp_value(flat[i]))
-        return vals.reshape(theta.shape)
-
-
-def _isolate_circle_roots(form: _CircleForm, max_rounds: int = 90, max_points: int = 1 << 21):
-    """Bracketing intervals in (0, pi) for the strictly-complex roots.
-
-    Terminates unsuccessfully when the flip count stalls while the grid
-    keeps growing: that is the signature of roots that are genuinely off
-    the circle (float-rounded coefficients) or of even multiplicity, and
-    no amount of sign refinement can ever find them.
-    """
-    d = form.d
-    interior = (d - (d % 2)) // 2
-    if interior == 0:
-        return np.empty(0, dtype=np.longdouble), np.empty(0, dtype=np.longdouble)
-
-    grid = np.linspace(np.longdouble(0), np.longdouble(math.pi), 4 * d + 1, dtype=np.longdouble)
-    vals = form.values(grid)
-    best_flips = -1
-    stalled = 0
-    for _ in range(max_rounds):
-        neg = vals < 0
-        flips = neg[:-1] != neg[1:]
-        found = int(flips.sum())
-        if found == interior:
-            break
-        if found > best_flips:
-            best_flips, stalled = found, 0
-        else:
-            stalled += 1
-        if stalled >= 8 and len(grid) > 16 * (d + 1):
-            raise RuntimeError(
-                f"root isolation stalled at {found}/{interior} sign changes; "
-                "the remaining roots are off the circle (rounded coefficients) "
-                "or of even multiplicity"
-            )
-        # refine every interval that cannot be proven root-free: |R| may only
-        # descend to zero at rate B', so both endpoints large means no root.
-        # Flip intervals stay candidates (an interval can hide an extra pair).
-        widths = np.diff(grid)
-        small = np.minimum(np.abs(vals[:-1]), np.abs(vals[1:])) <= 0.5 * form.deriv_bound * widths
-        candidates = (flips | small) & (widths > 0)
-        if not candidates.any() or len(grid) > max_points:
-            raise RuntimeError(
-                "failed to isolate all circle roots (clustered or multiple roots "
-                "beyond the solver's resolution)"
-            )
-        mids = 0.5 * (grid[:-1][candidates] + grid[1:][candidates])
-        grid = np.insert(grid, np.flatnonzero(candidates) + 1, mids)
-        vals = np.insert(vals, np.flatnonzero(candidates) + 1, form.values(mids))
-    else:
-        raise RuntimeError("root isolation did not converge within the round budget")
-
-    neg = vals < 0
-    flips = np.flatnonzero(neg[:-1] != neg[1:])
-    return grid[flips], grid[flips + 1]
-
-
-def _refine_circle_roots(form: _CircleForm, lo, hi, max_steps: int = 70):
-    """Bisect each bracket down to the longdouble angle resolution."""
-    lo = lo.copy()
-    hi = hi.copy()
-    neg_lo = form.values(lo) < 0
-    width_target = np.longdouble(4e-19) * math.pi
-    for _ in range(max_steps):
-        if np.max(hi - lo) <= width_target:
-            break
-        mid = 0.5 * (lo + hi)
-        neg_mid = form.values(mid) < 0
-        same = neg_mid == neg_lo
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def poly_roots_on_circle(p: PartitionPolynomial):
     """All roots of the partition polynomial, certified on the unit circle.
 
-    Root angles are isolated by provable sign-change bracketing of the real
-    palindromic form and refined in 80-bit extended precision; the returned
-    residual per root is the relative backward error
-    |P(e^{i angle})| / sum(|c_j|).  The isolation step finds exactly |V|
-    roots or raises, so duplicated/missed roots cannot pass silently; a
-    genuinely multiple circle root (t=1 degeneracy) is reported as a failure
-    rather than fabricated.
+    The m = degree//2 root angles in (0, pi) are isolated and refined in
+    exact integer arithmetic (module docstring); the rest are their
+    mirror images and, at odd degree, exactly pi.  Finding fewer than m
+    roots (some off the circle, or one at z = -1 in even degree), a
+    multiple root, or two roots closer than float64 resolves raises
+    RuntimeError: missed or duplicated roots never pass silently.  The
+    returned residual per root is the relative backward error
+    |P(e^{i angle})| / sum(|c_j|), evaluated in extended precision.
     """
     if p.degree > MAX_ROOT_DEGREE:
         raise ValueError(f"root finding capped at degree {MAX_ROOT_DEGREE}, got {p.degree}")
-    if float(p.t) >= 1.0:
+    if p.t >= 1:
         raise ValueError("t >= 1 degenerates to a multiple root at z = -1; use the analytic limit")
-    coeffs = np.array([float(c) for c in p.coeffs], dtype=np.longdouble)
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("polynomial coefficients must be finite")
-    if np.any(coeffs <= 0):
+    if any(c <= 0 for c in p.coeffs):
         raise ValueError("partition coefficients must be strictly positive")
-    exact = [Fraction(c) for c in p.coeffs] if p.exact else [Fraction(float(c)) for c in coeffs]
 
-    # odd degree: spin-flip symmetry puts a root exactly at z = -1; deflate it
-    # by exact synthetic division so the scan polynomial is nonzero at pi
-    if p.degree % 2:
-        s = [Fraction(0)] * p.degree
-        s[-1] = exact[-1]
-        for j in range(p.degree - 1, 0, -1):
-            s[j - 1] = exact[j] - s[j]
-        if exact[0] - s[0] != 0:
-            raise RuntimeError("odd-degree palindrome failed exact deflation at z = -1")
-        exact = s
-    scan_ld = np.array(
-        [np.longdouble(c.numerator) / np.longdouble(c.denominator) for c in exact]
-    )
+    r = _circle_polynomial(p.coeffs)
+    m = len(r) - 1
+    exact, intervals = _isolate(r)
+    if len(exact) + len(intervals) != m:
+        raise RuntimeError(
+            f"found {len(exact) + len(intervals)} of {m} roots of the circle polynomial "
+            "in (-1, 1); the rest are off the unit circle or at z = -1"
+        )
+    upper = sorted([_angle(c, e) for c, e in exact] + [_refine(r, c, e) for c, e in intervals])
+    if any(a == b for a, b in zip(upper, upper[1:])):
+        raise RuntimeError("two circle roots are closer than float64 resolves; refusing duplicates")
+    pi_part = [math.pi] if p.degree % 2 else []
+    angles = np.array([-a for a in upper[::-1]] + upper + pi_part)
 
-    form = _CircleForm(scan_ld, exact)
-    lo, hi = _isolate_circle_roots(form)
-    upper = _refine_circle_roots(form, lo, hi)
-    pi_part = [np.longdouble(math.pi)] if p.degree % 2 else []
-    angles = np.concatenate([-upper[::-1], upper, pi_part]).astype(np.longdouble)
-
-    z = np.exp(1j * angles).astype(np.clongdouble)
-    scale = np.longdouble(np.sum(np.abs(coeffs)))
-    residuals = (np.abs(_horner(z, coeffs.astype(np.clongdouble))) / scale).astype(float)
+    coeffs = np.array([float(c) for c in p.coeffs], dtype=np.longdouble)
+    z = np.exp(1j * angles.astype(np.longdouble))
+    residuals = (np.abs(_horner(z, coeffs.astype(np.clongdouble))) / np.sum(coeffs)).astype(float)
     if p.degree % 2:
         residuals[-1] = 0.0  # z = -1 is a root exactly, by the palindrome pairing
 
-    out_angles = angles.astype(float)
-    worst = float(np.max(np.abs(np.abs(np.exp(1j * out_angles)) - 1.0)))
+    worst = float(np.max(np.abs(np.abs(np.exp(1j * angles)) - 1.0)))
     if worst > 1e-9:  # structurally zero; kept as the stated on-circle certificate
         raise RuntimeError(f"root strayed {worst:.3g} from the unit circle (> 1e-9)")
-    order = np.argsort(out_angles, kind="stable")
-    return [(float(out_angles[i]), float(residuals[i])) for i in order]
+    return [(float(a), float(res)) for a, res in zip(angles, residuals)]
 
 
 def write_roots_csv(path, pairs) -> None:

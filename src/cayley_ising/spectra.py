@@ -88,14 +88,6 @@ def lyapunov_acim_alt(p: ModelParams) -> float:
     return TAU * math.log(abs(num / den))
 
 
-@dataclass(frozen=True)
-class BirkhoffEstimate:
-    value: float
-    stderr: float
-    n_steps: int
-    n_seeds: int
-
-
 def birkhoff_exponents(
     phis,
     ts,
@@ -134,22 +126,6 @@ def birkhoff_exponents(
     means = per_seed.mean(axis=1)
     stderrs = per_seed.std(axis=1, ddof=1) / math.sqrt(n_seeds)
     return means, stderrs
-
-
-def lyapunov_acim(p: ModelParams, method: str = "closed", **kwargs):
-    """ACIM Lyapunov exponent; 'closed' returns a float, 'birkhoff' a
-    BirkhoffEstimate with a seed-dispersion standard error."""
-    if method == "closed":
-        return lyapunov_acim_closed(p)
-    if method == "birkhoff":
-        means, errs = birkhoff_exponents([p.phi], [p.t], p.k, **kwargs)
-        return BirkhoffEstimate(
-            float(means[0]),
-            float(errs[0]),
-            kwargs.get("n_steps", 1_000_000),
-            kwargs.get("n_seeds", 32),
-        )
-    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +191,21 @@ def lyapunov_mme(p: ModelParams, depth: int = 16) -> MmeEstimate:
 # pointwise dimension of the empirical zero measure
 
 
+def log_log_fit(x, y):
+    """Least-squares line through (log x, log y).
+
+    Returns (slope, R^2, fitted y values); R^2 reads 1 when log y is constant.
+    """
+    lx = np.log(x)
+    ly = np.log(y)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    fitted = slope * lx + intercept
+    ss_res = float(np.sum((ly - fitted) ** 2))
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), r2, np.exp(fitted)
+
+
 @dataclass(frozen=True)
 class DimensionFit:
     value: float
@@ -264,14 +255,8 @@ def pointwise_dimension(
         raise ValueError(
             "fewer than three usable scales; raise the tree level or the coarsest scale"
         )
-    x = np.log(2.0 * deltas)
-    y = np.log(masses)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return DimensionFit(float(slope), r2, tuple(2.0 * deltas), tuple(masses), level)
+    slope, r2, _ = log_log_fit(2.0 * deltas, masses)
+    return DimensionFit(slope, r2, tuple(2.0 * deltas), tuple(masses), level)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,14 @@ class TreeSpec:
         return 1 + (k + 1) * ((k**n - 1) // (k - 1))
 
     @property
+    def steps(self) -> tuple[int, ...]:
+        """Branching exponent of each renormalization step, leaves first: k at
+        every level, and k+1 for the last step of the full tree (its centre)."""
+        if self.variant == "rooted":
+            return (self.k,) * self.level
+        return (self.k,) * (self.level - 1) + (self.k + 1,)
+
+    @property
     def edge_count(self) -> int:
         return self.vertex_count - 1
 
@@ -125,10 +133,7 @@ def iterated_lift(phi, tree: TreeSpec, t: float, derivative: bool = False):
     wind = np.round((phi - psi) / TAU).astype(np.int64)
     deriv = np.ones_like(psi)
 
-    steps = [tree.k] * tree.level
-    if tree.variant == "full":
-        steps = [tree.k] * (tree.level - 1) + [tree.k + 1]
-    for k_step in steps:
+    for k_step in tree.steps:
         if derivative:
             deriv = _lift_derivative(psi, t, k_step) * deriv + 1.0
         raw = _lift(psi, phi, t, k_step)

@@ -56,6 +56,13 @@ def test_phi_e_curve(tmp_path):
     assert values[0] < 0.02 and values[-1] > 2.2
 
 
+def test_grid_cap_refuses_before_allocating(tmp_path, capsys):
+    # 6.5e11 points would need 4.7 TiB
+    assert run(["phi-e", "--k", 2, "--t-grid", "0.34:0.99:1e-12", "--out", tmp_path / "pe.csv"]) == 1
+    assert "more than" in capsys.readouterr().err
+    assert not (tmp_path / "pe.csv").exists()
+
+
 def test_measure_outputs(tmp_path):
     cdf = tmp_path / "cdf.csv"
     assert run(["measure", "--k", 2, "--n", 6, "--t", "0.5", "--kind", "cdf", "--grid", 101, "--out", cdf]) == 0
@@ -105,3 +112,12 @@ def test_free_energy_radial(tmp_path):
     rows = out.read_text().strip().splitlines()[1:]
     assert len(rows) >= 5
     assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
+
+
+def test_readme_singular_example(tmp_path, capsys):
+    out = tmp_path / "hsing.csv"
+    assert run(["free-energy", "--k", 2, "--t", "0.2", "--n", 36, "--phi", "0.0",
+                "--mode", "singular", "--delta0", 1.2, "--out", out]) == 0
+    kappa = float(capsys.readouterr().out.split("kappa = ")[1].split()[0])
+    paper = math.log(2.0) / math.log(4.0 / 3.0)
+    assert abs(kappa - paper) <= 0.15 * paper

@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 
 from cayley_ising.core import (
-    ExpansionUnavailableError,
     ModelParams,
     NoGapError,
     critical_temperature,
-    expansion_certificate,
     fixed_points,
     interior_support,
     lift_derivative,
     lift_eval,
-    lift_orbit,
     phi_e,
     tangency,
 )
@@ -77,16 +74,6 @@ def test_lift_derivative_values_and_fd():
     for th in rng.uniform(-4, 4, 50):
         fd = (lift_eval(th + 1e-5, p) - lift_eval(th - 1e-5, p)) / 2e-5
         assert abs(fd - lift_derivative(th, p)) <= 1e-6
-
-
-def test_lift_orbit():
-    # at t=0 the n-fold composition from theta0=phi is geometric in k
-    orbit = lift_orbit(2, ModelParams(2, 0.0, 0.1), 0.1)
-    assert orbit.final == pytest.approx(0.7, abs=1e-14)
-    assert orbit.log_deriv_sum == pytest.approx(2.0 * math.log(2.0), abs=1e-14)
-    assert lift_orbit(0, ModelParams(2, 0.5, 0.3), 1.2).final == 1.2
-    with pytest.raises(ValueError):
-        lift_orbit(-1, ModelParams(2, 0.5, 0.3), 0.0)
 
 
 def test_fixed_points_known_case():
@@ -187,31 +174,3 @@ def test_interior_support():
     assert not interior_support(0.0, 0.5, 2)
     assert interior_support(1.0, 0.5, 2)  # phi_e(0.5) ~ 0.307 < 1
     assert not interior_support(0.3, 0.5, 2)
-
-
-def test_expansion_certificate():
-    # t=0: derivative identically k
-    cert = expansion_certificate(ModelParams(2, 0.0, 0.7), n_probe=8, grid_size=128)
-    assert cert.lam == pytest.approx(2.0, abs=1e-12)
-    assert cert.c == pytest.approx(1.0, abs=1e-12)
-    # the minimum of the derivative at phi=0 is attained at the fixed point 0
-    cert = expansion_certificate(ModelParams(2, 0.2, 0.0))
-    assert cert.lam >= 4.0 / 3.0 - 1e-9
-    # interior of the support above t_c
-    cert = expansion_certificate(ModelParams(2, 0.5, math.pi))
-    assert cert.lam > 1.0
-    with pytest.raises(ExpansionUnavailableError):
-        expansion_certificate(ModelParams(2, 0.5, 0.1))
-
-
-def test_certificate_bound_holds_on_fresh_samples():
-    p = ModelParams(2, 0.5, math.pi)
-    cert = expansion_certificate(p, n_probe=10, grid_size=512)
-    rng = np.random.default_rng(2)
-    theta = rng.uniform(-math.pi, math.pi, 256)
-    logprod = np.zeros_like(theta)
-    for m in range(1, cert.n_probe + 1):
-        logprod += np.log(lift_derivative(theta, p))
-        theta = lift_eval(theta, p)
-        # allow a hair of slack: the certificate was fitted on a finite grid
-        assert np.min(logprod) >= math.log(cert.c) + m * math.log(cert.lam) - 1e-6

@@ -1,11 +1,13 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cayley_ising.partition import (
+    PartitionPolynomial,
     partition_poly_bruteforce,
     partition_poly_recursive,
     poly_roots_on_circle,
@@ -63,12 +65,22 @@ def test_gibbs_sum_at_z_one():
 
 
 def test_float_path_matches_exact():
-    tree = TreeSpec("rooted", 3, 2)
-    exact = partition_poly_recursive(tree, Fraction(1, 2))
-    approx = partition_poly_recursive(tree, 0.5)
-    assert not approx.exact
-    worst = max(abs(float(a) - b) for a, b in zip(exact.coeffs, approx.coeffs))
-    assert worst <= 1e-12
+    # every double is a dyadic rational, so float t is converted exactly
+    tree = TreeSpec("rooted", 2, 2)
+    for route in (partition_poly_recursive, partition_poly_bruteforce):
+        exact = route(tree, Fraction(1, 2))
+        from_float = route(tree, 0.5)
+        assert from_float.t == Fraction(1, 2)
+        assert from_float.coeffs == exact.coeffs
+        assert all(type(c) is Fraction for c in from_float.coeffs)
+
+
+def test_t_outside_unit_interval_rejected():
+    tree = TreeSpec("rooted", 1, 2)
+    for t in (Fraction(-1, 5), Fraction(6, 5), -0.1, 1.5, 2):
+        for route in (partition_poly_recursive, partition_poly_bruteforce):
+            with pytest.raises(ValueError):
+                route(tree, t)
 
 
 def test_size_guards():
@@ -100,11 +112,59 @@ def test_roots_known_factorization():
     assert np.allclose(angles, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "coeffs, upper",
+    [
+        # (z^2 + 1)(z^2 + z + 1): Q = 4x^2 + 2x has roots cos(theta) = 0, the
+        # first bisection midpoint, and -1/2
+        ((1, 1, 2, 1, 1), [math.pi / 2, 2 * math.pi / 3]),
+        # (z^2 + 1)(z^4 + z^3 + z^2 + z + 1): the interval right of the
+        # midpoint root starts on that root
+        ((1, 1, 2, 2, 2, 1, 1), [2 * math.pi / 5, math.pi / 2, 4 * math.pi / 5]),
+    ],
+)
+def test_roots_at_dyadic_points(coeffs, upper):
+    poly = PartitionPolynomial(TreeSpec("rooted", 1, 2), Fraction(1, 2), tuple(map(Fraction, coeffs)))
+    angles = [a for a, _ in poly_roots_on_circle(poly)]
+    expected = [-a for a in upper[::-1]] + upper
+    assert np.allclose(angles, expected, rtol=0, atol=1e-15)
+
+
 def test_roots_on_circle_exactly():
     poly = partition_poly_recursive(TreeSpec("rooted", 3, 2), Fraction(1, 5))
     for angle, residual in poly_roots_on_circle(poly):
         assert abs(abs(np.exp(1j * angle)) - 1.0) <= 1e-9
         assert residual <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "tree, t",
+    [(TreeSpec("rooted", 6, 2), Fraction(9, 10)), (TreeSpec("rooted", 7, 2), Fraction(213, 1000))],
+)
+def test_roots_match_dynamics_at_degree_127_and_255(tree, t):
+    pairs = poly_roots_on_circle(partition_poly_recursive(tree, t))
+    angles = np.array([a for a, _ in pairs])
+    assert len(angles) == tree.vertex_count
+    assert np.all(np.diff(angles) > 0)
+    zs = enumerate_zeros(tree, float(t))
+    assert np.max(np.abs(angles - zs.angles)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (9, 12, 22, 12, 9),  # Q = 4(3x + 1)^2: double root at x = -1/3
+        (1, 2, 3, 2, 1),  # Q = (2x + 1)^2: double root at the dyadic x = -1/2
+        (1, 2, 1),  # (z + 1)^2: Q = 2(x + 1), root at x = -1
+        (1, 3, 1),  # roots off the circle
+    ],
+)
+def test_roots_degenerate_inputs_raise(coeffs):
+    poly = PartitionPolynomial(TreeSpec("rooted", 1, 2), Fraction(1, 2), tuple(map(Fraction, coeffs)))
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError):
+        poly_roots_on_circle(poly)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_roots_reject_degenerate_t1():
