@@ -6,6 +6,13 @@ fixed point, cross-checked by long Birkhoff averages), the exponent of
 the measure of maximal entropy (uniform-weight preimage pullback), and
 the pointwise dimension of the empirical zero measure (log-log slope of
 symmetric interval masses).
+
+Both estimators work through the Moebius factor of the map.  The Birkhoff
+orbits step w = e^{i theta} by w <- z((w+t)/(1+tw))^k, with no angle
+reduction or arctan2 per step.  The pullback inverts the lift
+k*psi_t + phi branch by branch through psi_{-t}, the lifted argument of
+the inverse Moebius map, with no root-finding; it never calls the
+fixed-point solver, so it stays independent of the closed form.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from .measure import EmpiricalMeasure, symmetric_mass
 from .zeros import TreeSpec
 
 MAX_PULLBACK_LEAVES = 1 << 22
+# Birkhoff steps per log of the running product of 1+tw
+_LOG_BLOCK = 16
 
 
 class OutsideSupportError(ValueError):
@@ -100,29 +109,50 @@ def birkhoff_exponents(
     """Batched Birkhoff averages of log lift' from uniform random starts.
 
     phis and ts broadcast together; one orbit per (parameter, seed) pair.
-    Returns (means, stderrs) with the standard error taken across seeds.
+    Each orbit runs on w = e^{i theta} by w <- z((w+t)/(1+tw))^k and is put
+    back on |w| = 1 after every step, because the circle repels radially.
+    Since log lift' = log k(1-t^2) - 2 log|1+tw|, the orbit keeps the running
+    product of 1+tw and takes the log of its modulus once per _LOG_BLOCK
+    steps; each factor has modulus in [1-t, 1+t], so a block cannot
+    underflow.  Returns (means, stderrs) with the standard error taken
+    across seeds.
     """
+    if n_steps < 1 or burn_in < 0 or n_seeds < 2:
+        raise ValueError(
+            f"need n_steps >= 1, burn_in >= 0 and n_seeds >= 2 (a stderr needs two "
+            f"seeds), got {n_steps}, {burn_in} and {n_seeds}"
+        )
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     ts = np.broadcast_to(np.asarray(ts, dtype=float), phis.shape).astype(float)
     for ph, tv in zip(phis, ts):
         _require_interior(ph, tv, k)
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(-math.pi, math.pi, size=(len(phis), n_seeds))
-    phi_col = phis[:, None]
-    t_col = ts[:, None]
-    t2 = t_col * t_col
-    acc = np.zeros_like(theta)
+    w = np.exp(1j * rng.uniform(-math.pi, math.pi, size=(len(phis), n_seeds)))
+    # full-shape complex operands keep every ufunc on its unbuffered loop
+    t_full = np.broadcast_to(ts[:, None], w.shape).astype(complex)
+    z = np.broadcast_to(np.exp(1j * phis)[:, None], w.shape).copy()
+    den = np.empty_like(w)
+    mob = np.empty_like(w)
+    mod = np.empty(w.shape)
+    prod = np.ones_like(w)
+    log_sum = np.zeros(w.shape)
     for step in range(burn_in + n_steps):
-        cos_t = np.cos(theta)
+        np.multiply(w, t_full, out=den)
+        den += 1.0
         if step >= burn_in:
-            acc += np.log(k * (1.0 - t2) / (1.0 + 2.0 * t_col * cos_t + t2))
-        raw = (
-            k * theta
-            - 2.0 * k * np.arctan2(t_col * np.sin(theta), 1.0 + t_col * cos_t)
-            + phi_col
-        )
-        theta = np.remainder(raw + math.pi, TAU) - math.pi
-    per_seed = acc / n_steps
+            prod *= den
+            if (step - burn_in) % _LOG_BLOCK == _LOG_BLOCK - 1:
+                log_sum += np.log(np.abs(prod))
+                prod.fill(1.0)
+        np.add(w, t_full, out=mob)
+        mob /= den
+        np.multiply(mob, z, out=w)
+        for _ in range(k - 1):
+            w *= mob
+        np.abs(w, out=mod)
+        w /= mod
+    log_sum += np.log(np.abs(prod))
+    per_seed = np.log(k * (1.0 - ts * ts))[:, None] - 2.0 * log_sum / n_steps
     means = per_seed.mean(axis=1)
     stderrs = per_seed.std(axis=1, ddof=1) / math.sqrt(n_seeds)
     return means, stderrs
@@ -141,36 +171,35 @@ class MmeEstimate:
 
 
 def _preimages(targets: np.ndarray, phi: float, t: float, k: int) -> np.ndarray:
-    """All k preimages in (-pi, pi] of each target angle under the lift."""
+    """All k preimages in [-pi, pi] of each target angle under the lift.
+
+    The lift is k*psi_t(theta) + phi, where psi_t(theta) = theta -
+    2 atan2(t sin theta, 1 + t cos theta) is the lifted argument of the
+    Moebius map (w+t)/(1+tw).  Its inverse is psi_{-t}, so each goal angle
+    of the branch window [lift(-pi), lift(pi)) inverts in closed form.
+    """
     base = float(_lift(-math.pi, phi, t, k))
     j0 = np.ceil((base - targets) / TAU)
     goals = targets[None, :] + TAU * (j0[None, :] + np.arange(k)[:, None])
-    goals = goals.ravel()
-    lo = np.full(goals.shape, -math.pi)
-    hi = np.full(goals.shape, math.pi)
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        below = _lift(mid, phi, t, k) <= goals
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    theta = 0.5 * (lo + hi)
-    for _ in range(2):
-        theta = theta - (_lift(theta, phi, t, k) - goals) / _lift_derivative(theta, t, k)
-        theta = np.clip(theta, -math.pi, math.pi)
-    return theta
+    u = (goals.ravel() - phi) / k
+    theta = u + 2.0 * np.arctan2(t * np.sin(u), 1.0 - t * np.cos(u))
+    return np.clip(theta, -math.pi, math.pi)
 
 
 def lyapunov_mme(p: ModelParams, depth: int = 16) -> MmeEstimate:
     """MME Lyapunov exponent from the uniform pullback of theta = pi.
 
-    All k^depth depth-n preimages of pi are found by per-branch monotone
-    solves; the estimator is the equal-weight average of (1/n) * sum of
+    All k^depth depth-n preimages of pi are found level by level, each
+    preimage in closed form through the inverse Moebius map (see
+    _preimages); the estimator is the equal-weight average of (1/n) * sum of
     log lift' along each preimage orbit, which equals the mean of the
     per-level means m_l.  The reported stderr is std(m_l)/sqrt(depth):
     leaves share ancestors, so a per-leaf standard error would be
     dishonestly small, while the level-mean dispersion tracks the actual
     shallow-level transient.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     _require_interior(p.phi, p.t, p.k)
     if p.k**depth > MAX_PULLBACK_LEAVES:
         raise ValueError(

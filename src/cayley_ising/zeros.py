@@ -29,6 +29,8 @@ from .core import TAU, _lift, _lift_derivative, _validate_t
 SEAM_GUARD = 1e-9
 
 _CHUNK = 1 << 17
+# smallest slice handed to a thread when workers > 1
+_MIN_CHUNK = 1 << 12
 
 # int64 winding is exact while |V| stays below this
 MAX_VERTICES = 1 << 62
@@ -172,11 +174,16 @@ class ZeroSet:
 
 
 def _map_chunks(fn, arrays, workers):
-    """fn over _CHUNK-sized slices of the arrays, concatenated per output.
+    """fn over slices of the arrays, concatenated per output.
 
-    The slicing does not depend on workers, so neither does the result."""
+    One worker slices at _CHUNK; several slice at ceil(n / workers), at least
+    _MIN_CHUNK and at most _CHUNK, so every thread gets a share of a small
+    tree.  fn is elementwise, so the result does not depend on the slicing."""
     n = len(arrays[0])
-    chunks = [[a[i : i + _CHUNK] for a in arrays] for i in range(0, max(n, 1), _CHUNK)]
+    size = _CHUNK
+    if workers and workers > 1:
+        size = min(_CHUNK, max(-(-n // workers), _MIN_CHUNK))
+    chunks = [[a[i : i + size] for a in arrays] for i in range(0, max(n, 1), size)]
     if workers and workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda c: fn(*c), chunks))
@@ -280,7 +287,7 @@ def enumerate_zeros(
     tol : angular residual tolerance; each returned angle satisfies
         |G(phi) - pi - 2pi m| <= tol * G'(phi).
     workers : number of threads for the chunked lift passes (chunks are
-        independent and fixed in size; the output does not depend on it).
+        independent and elementwise; the output does not depend on it).
 
     Only the |V|//2 zeros in (0, pi) are solved; the rest are their mirror
     images and, for odd |V|, exactly pi.

@@ -92,6 +92,13 @@ def test_spectra_json(tmp_path):
     assert doc["chi_acim_closed"] == pytest.approx(0.6238107163648711)
 
 
+def test_spectra_refuses_zero_birkhoff_steps(tmp_path):
+    # zero steps would average to NaN, which json.dump writes as invalid JSON
+    out = tmp_path / "r.json"
+    assert run(["spectra", "--k", 2, "--t", "0.2", "--phi", 0, "--birkhoff-steps", 0, "--out", out]) == 1
+    assert not out.exists()
+
+
 def test_spectra_gap_refused(tmp_path):
     assert run(["spectra", "--k", 2, "--t", "0.5", "--phi", "0.1", "--out", tmp_path / "r.json"]) == 1
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cayley_ising.core import ModelParams, TAU, lift_eval
+from cayley_ising.core import ModelParams, TAU, _lift, _lift_derivative, lift_eval
 from cayley_ising.spectra import (
     MmeEstimate,
     OutsideSupportError,
@@ -80,6 +82,36 @@ def test_birkhoff_batch_shapes_and_determinism():
     assert np.array_equal(means1, means2) and np.array_equal(errs1, errs2)
 
 
+@pytest.mark.parametrize("k, phis, ts", [
+    (3, [0.5, 2.0, 2.8], [0.2, 0.4, 0.6]),
+    (4, [0.0, 1.5, 3.0], [0.1, 0.3, 0.7]),
+])
+def test_birkhoff_agrees_with_closed_above_k2(k, phis, ts):
+    means, errs = birkhoff_exponents(phis, ts, k, n_steps=50_000, n_seeds=16, seed=3)
+    for phi, t, mean, err in zip(phis, ts, means, errs):
+        closed = lyapunov_acim_closed(ModelParams(k, t, phi))
+        assert abs(mean - closed) <= 2e-3 + 3.0 * err
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_birkhoff_t0_is_exactly_log_k(k):
+    means, errs = birkhoff_exponents([0.4], [0.0], k, n_steps=1_000, n_seeds=4)
+    assert abs(means[0] - math.log(k)) <= 1e-12
+    assert errs[0] <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: birkhoff_exponents([0.0], [0.2], 2, n_steps=0),
+    lambda: birkhoff_exponents([0.0], [0.2], 2, n_steps=10, burn_in=-1),
+    lambda: birkhoff_exponents([0.0], [0.2], 2, n_steps=10, n_seeds=1),
+    lambda: lyapunov_mme(ModelParams(2, 0.2, 0.0), depth=0),
+], ids=["n_steps", "burn_in", "n_seeds", "depth"])
+def test_spectra_estimators_refuse_empty_samples(call):
+    # no estimate exists: no steps, a negative burn-in, one seed (no spread) or no level
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_preimages_invert_the_lift():
     p = ModelParams(2, 0.45, 0.8)
     targets = np.array([math.pi, 0.3, -2.0])
@@ -88,6 +120,30 @@ def test_preimages_invert_the_lift():
     images = lift_eval(pre, p)
     goal = np.tile(targets, p.k)
     assert np.max(np.abs(np.remainder(images - goal + math.pi, TAU) - math.pi)) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.sampled_from([2, 3, 4]),
+    t=st.floats(0.0, 0.99),
+    phi=st.floats(-math.pi, math.pi, exclude_min=True),
+    extra=st.lists(st.floats(-math.pi, math.pi), max_size=6),
+)
+def test_preimages_property(k, t, phi, extra):
+    targets = np.array([math.pi, -math.pi, *extra])
+    pre = _preimages(targets, phi, t, k)
+    assert pre.shape == (k * targets.size,)
+    assert np.all((pre >= -math.pi) & (pre <= math.pi))
+    images = _lift(pre, phi, t, k)
+    off = np.abs(np.remainder(images - np.tile(targets, k) + math.pi, TAU) - math.pi)
+    # 64 ulp of the goal angle, plus one ulp of the preimage carried through
+    # the lift's slope: near theta = pi that slope is k(1+t)/(1-t), so even a
+    # correctly rounded preimage misses by half an ulp times it
+    tol = 64.0 * np.spacing(k * math.pi + abs(phi) + math.pi)
+    tol = tol + _lift_derivative(pre, t, k) * np.spacing(np.abs(pre))
+    assert np.all(off <= tol)
+    branches = np.sort(pre.reshape(k, targets.size), axis=0)
+    assert np.all(np.diff(branches, axis=0) > 0.0)
 
 
 def test_mme_t0_is_exactly_log_k():
@@ -101,6 +157,11 @@ def test_mme_exceeds_log_k():
     assert isinstance(est, MmeEstimate)
     assert est.value - LOG2 > 5.0 * est.stderr
     assert LOG2 / est.value < 1.0  # dimension proxy of the MME
+
+
+def test_mme_exceeds_log_k_at_k3():
+    est = lyapunov_mme(ModelParams(3, 0.3, 1.0), depth=8)
+    assert est.value > math.log(3.0)
 
 
 def test_mme_guards():

@@ -160,6 +160,26 @@ def test_workers_deterministic_across_chunks(monkeypatch):
     assert np.array_equal(a.residuals, b.residuals)
 
 
+def test_workers_split_small_trees(monkeypatch):
+    # level 14 has 32766 interior grid nodes, one _CHUNK slice for one worker
+    sizes = []
+    lift = zeros_module.iterated_lift
+
+    def spy(phi, *args, **kwargs):
+        sizes.append(np.size(phi))
+        return lift(phi, *args, **kwargs)
+
+    monkeypatch.setattr(zeros_module, "iterated_lift", spy)
+    tree = TreeSpec("rooted", 14, 2)
+    a = enumerate_zeros(tree, 0.35, workers=1)
+    assert max(sizes) == tree.vertex_count - 1
+    sizes.clear()
+    b = enumerate_zeros(tree, 0.35, workers=2)
+    assert max(sizes) == (tree.vertex_count - 1) // 2
+    assert a.angles.tobytes() == b.angles.tobytes()
+    assert a.residuals.tobytes() == b.residuals.tobytes()
+
+
 def test_branch_count_matches_staircase():
     tree = TreeSpec("rooted", 6, 2)
     t = 0.5
