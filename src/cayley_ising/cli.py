@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
@@ -148,9 +147,7 @@ def _cmd_zeros(args) -> int:
             "angles": [float(a) for a in zs.angles],
             "residuals": [float(r) for r in zs.residuals],
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        core.write_json(path, doc)
     print(f"wrote {len(zs)} zeros to {path}")
     return 0
 
@@ -171,12 +168,10 @@ def _cmd_phi_e(args) -> int:
     grid = _parse_grid(args.t_grid)
     tc = core.critical_temperature(args.k)
     path = _open_out(args.out)
-    with open(path, "w") as fh:
-        fh.write("t,phi_e\n")
-        for t in grid:
-            if not (tc <= t <= 1.0):
-                raise ConfigError(f"phi-e needs t in [t_c, 1] = [{tc}, 1], got {t}")
-            fh.write(f"{t:.17g},{core.phi_e(float(t), args.k):.17g}\n")
+    outside = grid[(grid < tc) | (grid > 1.0)]
+    if outside.size:
+        raise ConfigError(f"phi-e needs t in [t_c, 1] = [{tc}, 1], got {outside[0]}")
+    core.write_csv(path, ("t", "phi_e"), ((t, core.phi_e(float(t), args.k)) for t in grid))
     print(f"wrote {len(grid)} curve points to {path}")
     return 0
 
@@ -199,9 +194,7 @@ def _cmd_spectra(args) -> int:
         n_seeds=args.seeds,
         seed=args.seed,
     )
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    core.write_json(path, report.to_dict())
     print(f"wrote spectral report to {path}")
     return 0
 
@@ -219,9 +212,7 @@ def _cmd_free_energy(args) -> int:
     if args.mode == "report":
         z = args.radius * complex(math.cos(args.phi), math.sin(args.phi))
         rep = free_energy.free_energy_report(z, t, args.k, args.n)
-        with open(path, "w") as fh:
-            json.dump(rep.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        core.write_json(path, rep.to_dict())
         print(f"wrote free-energy report to {path}")
         return 0
     fit = free_energy.singular_exponent(
@@ -237,10 +228,9 @@ def _cmd_free_energy(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = verify.run_verification(seed=args.seed, quick=args.quick)
-    text = verify.report_json(report)
+    text = core.json_text(report)
     if args.out:
-        with open(_open_out(args.out), "w") as fh:
-            fh.write(text)
+        core.write_json(_open_out(args.out), report)
     digest = hashlib.sha256(text.encode()).hexdigest()
     for name, entry in report["checks"].items():
         print(f"{'PASS' if entry['passed'] else 'FAIL'} {name}")

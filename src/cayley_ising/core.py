@@ -4,12 +4,14 @@ The degree-k Blaschke-type map w -> z((w+t)/(1+wt))^k preserves the unit
 circle; everything downstream (zero enumeration, empirical measures,
 Lyapunov exponents) is driven by its angular lift, its derivative, its
 fixed points, and the tangency locus where a circle fixed point becomes
-multiple.
+multiple.  The module also holds the one CSV writer and the one JSON writer
+that every artifact goes through.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 
@@ -19,6 +21,30 @@ TAU = 2.0 * math.pi
 
 # |w|-1 band inside which a fixed point is classified as "on the circle"
 CIRCLE_BAND = 1e-8
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV artifact: the header line, then every cell of every row to 17
+    significant digits (floats round-trip; integers below 10^17 print as
+    themselves, NaN as "nan")."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
+def json_text(doc) -> str:
+    """Canonical JSON: sorted keys, indent 1, trailing newline.  A NaN or an
+    infinity raises ValueError instead of producing invalid JSON."""
+    return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
+
+
+def write_json(path, doc) -> None:
+    """JSON artifact; the text is built before the file is opened, so a
+    document that cannot be written leaves no file behind."""
+    text = json_text(doc)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 class NoGapError(ValueError):
@@ -101,9 +127,6 @@ class FixedPointSet:
         """The unique attracting fixed point inside the unit disk, or None."""
         inside = [r for r in self.roots if r.location == "disk"]
         return inside[0] if inside else None
-
-    def circle_roots(self):
-        return tuple(r for r in self.roots if r.location == "circle")
 
 
 def _fixed_point_poly(z: complex, t: float, k: int) -> np.ndarray:

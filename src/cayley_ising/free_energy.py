@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import write_csv
 from .measure import EmpiricalMeasure, symmetric_mass
 from .spectra import log_log_fit, pointwise_dimension
 from .zeros import TreeSpec, enumerate_zeros
@@ -292,14 +293,8 @@ def free_energy_report(
 
 
 def write_singular_csv(path, fit: SingularFit) -> None:
-    with open(path, "w") as fh:
-        fh.write("y,h_sing,fit\n")
-        for y, h, f in zip(fit.ys, fit.h_values, fit.fitted):
-            fh.write(f"{y:.17g},{h:.17g},{f:.17g}\n")
+    write_csv(path, ("y", "h_sing", "fit"), zip(fit.ys, fit.h_values, fit.fitted))
 
 
 def write_radial_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("r,free_energy\n")
-        for r, f in rows:
-            fh.write(f"{r:.17g},{f:.17g}\n")
+    write_csv(path, ("r", "free_energy"), rows)

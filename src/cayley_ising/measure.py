@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import critical_temperature
+from .core import critical_temperature, write_csv
 from .zeros import TreeSpec, branch_count, enumerate_zeros, iterated_lift
 
 
@@ -120,16 +120,8 @@ def histogram(em: EmpiricalMeasure, bins: int = 360):
 
 def write_cdf_csv(path, em: EmpiricalMeasure, grid: int = 2048) -> None:
     phis = np.linspace(-math.pi, math.pi, grid)
-    m = empirical_cdf(phis, em)
-    with open(path, "w") as fh:
-        fh.write("phi,cdf\n")
-        for x, y in zip(phis, m):
-            fh.write(f"{x:.17g},{y:.17g}\n")
+    write_csv(path, ("phi", "cdf"), zip(phis, empirical_cdf(phis, em)))
 
 
 def write_histogram_csv(path, em: EmpiricalMeasure, bins: int = 360) -> None:
-    centers, masses = histogram(em, bins)
-    with open(path, "w") as fh:
-        fh.write("bin_center,mass\n")
-        for x, y in zip(centers, masses):
-            fh.write(f"{x:.17g},{y:.17g}\n")
+    write_csv(path, ("bin_center", "mass"), zip(*histogram(em, bins)))

@@ -19,13 +19,13 @@ bisection on the exact sign of Q refines each to the float angle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .core import write_csv
 from .zeros import TreeSpec
 
 MAX_BRUTEFORCE_VERTICES = 22
@@ -57,20 +57,6 @@ class PartitionPolynomial:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * z + c
         return acc
-
-    def write_json(self, path) -> None:
-        doc = {
-            "schema_version": 1,
-            "variant": self.tree.variant,
-            "level": self.tree.level,
-            "k": self.tree.k,
-            "t": str(self.t),
-            "exact": True,
-            "coefficients": [f"{c.numerator}/{c.denominator}" for c in map(Fraction, self.coeffs)],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
 
 def _poly_mul(a, b):
@@ -356,7 +342,4 @@ def poly_roots_on_circle(p: PartitionPolynomial):
 
 
 def write_roots_csv(path, pairs) -> None:
-    with open(path, "w") as fh:
-        fh.write("index,angle_radians,residual\n")
-        for i, (a, r) in enumerate(pairs):
-            fh.write(f"{i},{a:.17g},{r:.17g}\n")
+    write_csv(path, ("index", "angle_radians", "residual"), ((i, a, r) for i, (a, r) in enumerate(pairs)))

@@ -32,6 +32,7 @@ from .core import (
     fixed_points,
     interior_support,
     phi_e,
+    write_csv,
 )
 from .measure import EmpiricalMeasure, symmetric_mass
 from .zeros import TreeSpec
@@ -198,8 +199,9 @@ def lyapunov_mme(p: ModelParams, depth: int = 16) -> MmeEstimate:
     dishonestly small, while the level-mean dispersion tracks the actual
     shallow-level transient.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    if depth < 2:
+        # one level mean has no spread, so the stderr would be undefined
+        raise ValueError(f"depth must be >= 2, got {depth}")
     _require_interior(p.phi, p.t, p.k)
     if p.k**depth > MAX_PULLBACK_LEAVES:
         raise ValueError(
@@ -212,7 +214,7 @@ def lyapunov_mme(p: ModelParams, depth: int = 16) -> MmeEstimate:
         level_means.append(float(np.mean(np.log(_lift_derivative(level, p.t, p.k)))))
     means = np.array(level_means)
     value = float(means.mean())
-    stderr = float(means.std(ddof=1) / math.sqrt(len(means))) if depth > 1 else math.inf
+    stderr = float(means.std(ddof=1) / math.sqrt(len(means)))
     return MmeEstimate(value, stderr, depth, tuple(level_means))
 
 
@@ -341,10 +343,11 @@ def spectral_report(
 ) -> SpectralReport:
     """Assemble every spectral estimate at one parameter point."""
     chi_closed = lyapunov_acim_closed(p)
+    # the pullback first: it refuses a bad depth before the long Birkhoff run
+    mme = lyapunov_mme(p, depth=mme_depth)
     means, errs = birkhoff_exponents(
         [p.phi], [p.t], p.k, n_steps=birkhoff_steps, n_seeds=n_seeds, seed=seed
     )
-    mme = lyapunov_mme(p, depth=mme_depth)
     dim = pointwise_dimension(p.phi, p.t, p.k, level=dim_level) if dim_level else None
     return SpectralReport(
         phi=p.phi,
@@ -393,12 +396,8 @@ def kappa_curve(t: float, k: int, phis) -> list[KappaPoint]:
 
 
 def write_kappa_csv(path, points: list[KappaPoint]) -> None:
-    with open(path, "w") as fh:
-        fh.write("phi,w_disk_re,w_disk_im,chi,kappa,in_support\n")
-        for pt in points:
-            wre = f"{pt.w_disk.real:.17g}" if pt.w_disk is not None else "nan"
-            wim = f"{pt.w_disk.imag:.17g}" if pt.w_disk is not None else "nan"
-            fh.write(
-                f"{pt.phi:.17g},{wre},{wim},{pt.chi:.17g},{pt.kappa:.17g},"
-                f"{int(pt.in_support)}\n"
-            )
+    rows = []
+    for pt in points:
+        w = pt.w_disk if pt.w_disk is not None else complex(math.nan, math.nan)
+        rows.append((pt.phi, w.real, w.imag, pt.chi, pt.kappa, int(pt.in_support)))
+    write_csv(path, ("phi", "w_disk_re", "w_disk_im", "chi", "kappa", "in_support"), rows)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU, _lift, _lift_derivative, _validate_t
+from .core import TAU, _lift, _lift_derivative, _validate_t, write_csv
 
 # zeros whose lift lands within this angle below pi are counted as being at
 # the branch seam (the set lives on (-pi, pi], so seam hits belong to +pi)
@@ -77,10 +77,6 @@ class TreeSpec:
         if self.variant == "rooted":
             return (self.k,) * self.level
         return (self.k,) * (self.level - 1) + (self.k + 1,)
-
-    @property
-    def edge_count(self) -> int:
-        return self.vertex_count - 1
 
     def edges(self):
         """Edge list (parent, child) with vertices numbered 0..|V|-1, BFS order."""
@@ -167,10 +163,7 @@ class ZeroSet:
         return len(self.angles)
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("index,angle_radians,residual\n")
-            for i, (a, r) in enumerate(zip(self.angles, self.residuals)):
-                fh.write(f"{i},{a:.17g},{r:.17g}\n")
+        write_csv(path, ("index", "angle_radians", "residual"), zip(range(len(self)), self.angles, self.residuals))
 
 
 def _map_chunks(fn, arrays, workers):

@@ -2,7 +2,9 @@
 
 Each test prints one PASS line with the measured quantities so a plain
 `pytest -s tests/test_acceptance.py` doubles as the acceptance report.
-Criteria follow the project contract; see the README for the mapping.
+The measurements live in `cayley_ising.verify`, shared with the `verify`
+battery; the tests hold the release cases and bounds.  The README maps each
+criterion to its function and verify checks.
 """
 
 import hashlib
@@ -12,48 +14,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cayley_ising.core import ModelParams, critical_temperature, phi_e
-from cayley_ising.free_energy import singular_exponent
-from cayley_ising.measure import EmpiricalMeasure, cdf_distance_rooted_full, max_gap
-from cayley_ising.partition import (
-    partition_poly_bruteforce,
-    partition_poly_recursive,
-    poly_roots_on_circle,
-)
-from cayley_ising.spectra import (
-    birkhoff_exponents,
-    lyapunov_acim_closed,
-    lyapunov_mme,
-    pointwise_dimension,
-)
-from cayley_ising.verify import report_json, run_verification
-from cayley_ising.zeros import (
-    TreeSpec,
-    enumerate_zeros,
-    iterated_lift,
-    min_positive_zero,
-    zero_count,
-)
+from cayley_ising import verify
+from cayley_ising.core import ModelParams, critical_temperature, json_text, phi_e
+from cayley_ising.measure import cdf_distance_rooted_full
+from cayley_ising.partition import partition_poly_recursive
+from cayley_ising.spectra import birkhoff_exponents, lyapunov_acim_closed, pointwise_dimension
+from cayley_ising.zeros import TreeSpec, enumerate_zeros, iterated_lift, zero_count
 
 LOG2 = math.log(2.0)
 
 
 def test_criterion_01_oracle_equivalence():
     """Zeros from the dynamics match the exact partition-polynomial roots."""
-    worst = 0.0
-    worst_circle = 0.0
-    for variant in ("rooted", "full"):
-        for n in (1, 2, 3):
-            for t in (Fraction(1, 5), Fraction(1, 2)):
-                tree = TreeSpec(variant, n, 2)
-                pairs = poly_roots_on_circle(partition_poly_recursive(tree, t))
-                zz = enumerate_zeros(tree, float(t))
-                assert len(pairs) == len(zz.angles)
-                worst = max(worst, float(np.max(np.abs(np.array([a for a, _ in pairs]) - zz.angles))))
-                worst_circle = max(
-                    worst_circle,
-                    float(np.max(np.abs(np.abs(np.exp(1j * np.array([a for a, _ in pairs]))) - 1.0))),
-                )
+    worst, worst_circle, counts_match = verify.oracle_equivalence((1, 2, 3), (Fraction(1, 5), Fraction(1, 2)))
+    assert counts_match
     assert worst <= 1e-8
     assert worst_circle <= 1e-9
     print(f"\nPASS criterion 1 (oracle equivalence): worst angle diff {worst:.3e} <= 1e-8, "
@@ -62,22 +36,8 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_recursion_vs_bruteforce():
     """Exact rational equality of both partition routes for all |V| <= 22."""
-    checked = 0
-    for k in range(2, 22):
-        for variant in ("rooted", "full"):
-            n = 0 if variant == "rooted" else 1
-            while True:
-                try:
-                    tree = TreeSpec(variant, n, k)
-                except ValueError:
-                    break
-                if tree.vertex_count > 22:
-                    break
-                rec = partition_poly_recursive(tree, Fraction(1, 5))
-                bf = partition_poly_bruteforce(tree, Fraction(1, 5))
-                assert rec.coeffs == bf.coeffs, f"mismatch for {tree}"
-                checked += 1
-                n += 1
+    checked, mismatches, _ = verify.recursion_vs_bruteforce(22)
+    assert not mismatches, f"mismatch for {mismatches}"
     assert checked >= 30
     print(f"\nPASS criterion 2 (recursion == brute force): {checked} trees, exact equality")
 
@@ -109,13 +69,7 @@ def test_criterion_04_gap():
     """No zeros inside the zero-free arc; tangency-solver anchors."""
     assert abs(phi_e(0.5, 2) - 0.308) <= 0.01
     assert abs(phi_e(0.9, 2) - 1.873) <= 0.01
-    worst_margin = math.inf
-    for t in (0.4, 0.5, 0.7, 0.9):
-        edge = phi_e(t, 2)
-        for variant in ("rooted", "full"):
-            for n in (4, 8, 12):
-                zs = enumerate_zeros(TreeSpec(variant, n, 2), t)
-                worst_margin = min(worst_margin, min_positive_zero(zs) - (edge - 1e-6))
+    worst_margin = verify.gap_margin((0.4, 0.5, 0.7, 0.9), (4, 8, 12))
     assert worst_margin >= 0.0
     print(f"\nPASS criterion 4 (gap): min positive zero clears phi_e - 1e-6 by "
           f">= {worst_margin:.3e}; phi_e(0.5)={phi_e(0.5, 2):.4f}, phi_e(0.9)={phi_e(0.9, 2):.4f}")
@@ -123,9 +77,9 @@ def test_criterion_04_gap():
 
 def test_criterion_05_density():
     """Below t_c the largest gap shrinks strictly with the level."""
-    gaps = {n: max_gap(EmpiricalMeasure(TreeSpec("rooted", n, 2), 0.2)) for n in (6, 10, 16)}
-    assert gaps[16] < gaps[10] < gaps[6]
-    print(f"\nPASS criterion 5 (density): max gaps {gaps[6]:.4f} > {gaps[10]:.4f} > {gaps[16]:.4f}")
+    gap6, gap10, gap16 = verify.density_gaps((6, 10, 16))
+    assert gap16 < gap10 < gap6
+    print(f"\nPASS criterion 5 (density): max gaps {gap6:.4f} > {gap10:.4f} > {gap16:.4f}")
 
 
 def test_criterion_06_rooted_equals_full():
@@ -139,17 +93,11 @@ def test_criterion_06_rooted_equals_full():
 
 def test_criterion_07_lyapunov_cross_check():
     """Closed-form ACIM exponent vs Birkhoff averages on a 5x5 grid."""
-    ts, phis = [], []
+    params = []
     for t in (1e-4, 0.1, 0.2, 0.3, 0.45):
         lo = phi_e(t, 2) + 0.25 if t > critical_temperature(2) else 0.0
-        for phi in np.linspace(lo, math.pi, 5):
-            ts.append(t)
-            phis.append(float(phi))
-    means, errs = birkhoff_exponents(phis, ts, 2, n_steps=1_000_000, n_seeds=32, seed=0)
-    worst_excess = -math.inf
-    for phi, t, mean, err in zip(phis, ts, means, errs):
-        closed = lyapunov_acim_closed(ModelParams(2, t, phi))
-        worst_excess = max(worst_excess, abs(mean - closed) - (2e-3 + 3.0 * err))
+        params += [(t, float(phi)) for phi in np.linspace(lo, math.pi, 5)]
+    _, _, worst_excess = verify.lyapunov_excess(params, n_steps=1_000_000, n_seeds=32, seed=0)
     assert worst_excess <= 0.0
 
     chi = lyapunov_acim_closed(ModelParams(2, 0.2, 0.0))
@@ -168,25 +116,18 @@ def test_criterion_08_ordering():
     ts = [t for t, _ in params]
     phis = [p for _, p in params]
     means, errs = birkhoff_exponents(phis, ts, 2, n_steps=400_000, n_seeds=32, seed=1)
-    worst_low = math.inf
-    worst_high = math.inf
-    worst_hd = 0.0
-    for (t, phi), mean, err in zip(params, means, errs):
-        mme = lyapunov_mme(ModelParams(2, t, phi), depth=16)
-        worst_low = min(worst_low, (LOG2 - mean) / err)
-        worst_high = min(worst_high, (mme.value - LOG2) / mme.stderr)
-        worst_hd = max(worst_hd, LOG2 / mme.value)
+    margins, hd = verify.ordering_margins(params, means, errs, depth=16)
+    worst_low = min(low for low, _ in margins)
+    worst_high = min(high for _, high in margins)
     assert worst_low >= 5.0 and worst_high >= 5.0
-    assert worst_hd < 1.0
+    assert max(hd) < 1.0
     print(f"\nPASS criterion 8 (ordering): chi_ACIM < log2 < chi_MME at 10 parameters, "
-          f"margins >= {worst_low:.1f} and {worst_high:.1f} sigma; max HD(MME) proxy {worst_hd:.4f} < 1")
+          f"margins >= {worst_low:.1f} and {worst_high:.1f} sigma; max HD(MME) proxy {max(hd):.4f} < 1")
 
 
 def test_criterion_09_pointwise_dimension():
     """Dimension estimator: special angle and typical angles."""
-    target0 = LOG2 / math.log(4.0 / 3.0)  # 2.4094
-    fit0 = pointwise_dimension(0.0, 0.2, 2, level=20, coarsest=0.098, octaves=3)
-    rel0 = abs(fit0.value - target0) / target0
+    fit0, rel0 = verify.dimension_phi0()
     assert rel0 <= 0.10
 
     # deterministic generic sample; each estimate carries an irreducible
@@ -203,30 +144,20 @@ def test_criterion_09_pointwise_dimension():
     # the estimator separates the special-angle exponent from the typical one
     assert fit0.value > 2.0 and all(v < 1.4 for v in values)
     print(f"\nPASS criterion 9 (pointwise dimension): phi=0 estimate {fit0.value:.3f} "
-          f"within {100*rel0:.1f}% of {target0:.3f}; 5 typical angles within "
+          f"within {100*rel0:.1f}% of {verify.DIM_PHI0:.3f}; 5 typical angles within "
           f"{100*worst_rel:.1f}% of log k/chi; 2.409 vs 1.111 separated")
 
 
 def test_criterion_10_singular_exponent():
     """Radial critical exponent from the singular-part transform."""
-    fit_leb = singular_exponent(
-        0.9, 0.0, 2, n=20, kappa_prior=1.0, delta0=0.5,
-        ys=0.5 * 2.0 ** -np.arange(7.0, 10.5, 0.5),
-    )
+    fit_leb, fit0, rel = verify.singular_exponent_fits()
     assert abs(fit_leb.kappa - 1.0) <= 0.02
     assert fit_leb.r_squared >= 0.98
-
-    target = LOG2 / math.log(4.0 / 3.0)
-    fit0 = singular_exponent(
-        0.0, 0.2, 2, n=20, kappa_prior=2.2, delta0=1.2,
-        ys=1.2 * 2.0 ** -np.arange(3.3, 5.8, 0.4),
-    )
-    rel = abs(fit0.kappa - target) / target
     assert rel <= 0.15
     assert fit0.r_squared >= 0.98
     print(f"\nPASS criterion 10 (singular exponent): Lebesgue slope {fit_leb.kappa:.4f} "
           f"(within 2% of 1, R^2={fit_leb.r_squared:.4f}); phi=0 slope {fit0.kappa:.4f} "
-          f"within {100*rel:.1f}% of {target:.3f} (R^2={fit0.r_squared:.4f})")
+          f"within {100*rel:.1f}% of {verify.DIM_PHI0:.3f} (R^2={fit0.r_squared:.4f})")
 
 
 def test_criterion_11_structural_identities():
@@ -234,27 +165,22 @@ def test_criterion_11_structural_identities():
     rng = np.random.default_rng(42)
 
     # lift periodicity at 2000 random parameter/angle combinations
-    worst_period = 0.0
+    lifts = []
     for _ in range(4):
         k = int(rng.integers(2, 6))
         p = ModelParams(k, float(rng.uniform(0, 0.95)), float(rng.uniform(-math.pi, math.pi)))
-        theta = rng.uniform(-30, 30, 500)
-        from cayley_ising.core import lift_eval
-
-        gap = lift_eval(theta + 2 * math.pi, p) - lift_eval(theta, p) - 2 * math.pi * k
-        worst_period = max(worst_period, float(np.max(np.abs(gap))))
+        lifts.append((rng.uniform(-30, 30, 500), p))
+    worst_period = verify.lift_period_gap(lifts)
     assert worst_period <= 1e-12
 
-    # composed-lift degree identity at 1024 random angles
-    worst_degree = 0.0
+    # composed-lift degree identity at 1024 random angles; the bound is
+    # 1e-9 per vertex, and the gap is measured in units of 2 pi |V|
+    degrees = []
     for _ in range(8):
         tree = TreeSpec("rooted", int(rng.integers(1, 7)), int(rng.integers(2, 4)))
         t = float(rng.uniform(0, 0.9))
-        phis = rng.uniform(-math.pi, math.pi, 128)
-        p1, w1 = iterated_lift(phis, tree, t)
-        p2, w2 = iterated_lift(phis + 2 * math.pi, tree, t)
-        gap = (p2 - p1) + 2 * math.pi * (w2 - w1) - 2 * math.pi * tree.vertex_count
-        worst_degree = max(worst_degree, float(np.max(np.abs(gap))) / tree.vertex_count)
+        degrees.append((tree, t, rng.uniform(-math.pi, math.pi, 128)))
+    worst_degree = 2 * math.pi * verify.degree_identity_gap(degrees)
     assert worst_degree <= 1e-9
 
     # palindromic partition polynomials at random rational temperatures
@@ -266,13 +192,11 @@ def test_criterion_11_structural_identities():
         assert all(c > 0 for c in poly.coeffs)
 
     # conjugate symmetry of zero sets
-    worst_sym = 0.0
+    zero_sets = []
     for _ in range(6):
         tree = TreeSpec(("rooted", "full")[int(rng.integers(0, 2))], int(rng.integers(2, 8)), 2)
-        zs = enumerate_zeros(tree, float(rng.uniform(0, 0.9)))
-        za = np.exp(1j * zs.angles)
-        chord = np.abs(np.conj(za)[:, None] - za[None, :])
-        worst_sym = max(worst_sym, float(max(chord.min(axis=0).max(), chord.min(axis=1).max())))
+        zero_sets.append(enumerate_zeros(tree, float(rng.uniform(0, 0.9))))
+    worst_sym = verify.conjugate_symmetry_gap(zero_sets)
     assert worst_sym <= 1e-10
     print(f"\nPASS criterion 11 (structural identities): periodicity {worst_period:.1e} <= 1e-12, "
           f"degree identity {worst_degree:.1e} <= 1e-9, palindromes exact, "
@@ -281,7 +205,7 @@ def test_criterion_11_structural_identities():
 
 def test_criterion_12_determinism():
     """Two verification runs with the same seed hash identically."""
-    a = hashlib.sha256(report_json(run_verification(seed=7, quick=True)).encode()).hexdigest()
-    b = hashlib.sha256(report_json(run_verification(seed=7, quick=True)).encode()).hexdigest()
+    a = hashlib.sha256(json_text(verify.run_verification(seed=7, quick=True)).encode()).hexdigest()
+    b = hashlib.sha256(json_text(verify.run_verification(seed=7, quick=True)).encode()).hexdigest()
     assert a == b
     print(f"\nPASS criterion 12 (determinism): verify report sha256 {a[:16]}... identical across runs")

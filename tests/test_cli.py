@@ -1,15 +1,30 @@
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import cayley_ising
 from cayley_ising.cli import main
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _refuse_constant(name):
+    raise ValueError(f"artifact holds the non-JSON constant {name}")
+
+
+def load_report(path):
+    """Parse a JSON artifact strictly (NaN or Infinity fail) and validate it
+    against the package's report schema."""
+    doc = json.loads(path.read_text(), parse_constant=_refuse_constant)
+    schema = json.loads((Path(cayley_ising.__file__).parent / "schemas" / "report.schema.json").read_text())
+    jsonschema.validate(doc, schema)
+    return doc
 
 
 def test_zeros_csv(tmp_path):
@@ -25,11 +40,7 @@ def test_zeros_csv(tmp_path):
 def test_zeros_json_schema(tmp_path):
     out = tmp_path / "z.json"
     assert run(["zeros", "--k", 2, "--n", 2, "--t", "1/5", "--format", "json", "--out", out]) == 0
-    doc = json.loads(out.read_text())
-    schema = json.loads(
-        (__import__("pathlib").Path(__import__("cayley_ising").__file__).parent / "schemas" / "report.schema.json").read_text()
-    )
-    jsonschema.validate(doc, schema)
+    doc = load_report(out)
     assert doc["t"] == "1/5"
 
 
@@ -84,11 +95,7 @@ def test_spectra_json(tmp_path):
         "--dim-level", 16, "--out", out,
     ])
     assert code == 0
-    doc = json.loads(out.read_text())
-    schema = json.loads(
-        (__import__("pathlib").Path(__import__("cayley_ising").__file__).parent / "schemas" / "report.schema.json").read_text()
-    )
-    jsonschema.validate(doc, schema)
+    doc = load_report(out)
     assert doc["chi_acim_closed"] == pytest.approx(0.6238107163648711)
 
 
@@ -96,6 +103,13 @@ def test_spectra_refuses_zero_birkhoff_steps(tmp_path):
     # zero steps would average to NaN, which json.dump writes as invalid JSON
     out = tmp_path / "r.json"
     assert run(["spectra", "--k", 2, "--t", "0.2", "--phi", 0, "--birkhoff-steps", 0, "--out", out]) == 1
+    assert not out.exists()
+
+
+def test_spectra_refuses_mme_depth_1(tmp_path):
+    # one level mean has no spread: its stderr was written as Infinity
+    out = tmp_path / "r.json"
+    assert run(["spectra", "--k", 2, "--t", "0.2", "--phi", 0, "--mme-depth", 1, "--out", out]) == 1
     assert not out.exists()
 
 

@@ -84,7 +84,7 @@ def test_fixed_points_known_case():
     assert values[2] == pytest.approx(7.0 + 4.0 * math.sqrt(3.0), abs=1e-10)
     disk = fps.disk_root()
     assert disk is not None and abs(disk.multiplier) == pytest.approx(0.5, abs=1e-12)
-    circle = fps.circle_roots()[0]
+    circle = next(r for r in fps.roots if r.location == "circle")
     assert circle.multiplier.real == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 import time
 from fractions import Fraction
@@ -172,11 +171,3 @@ def test_roots_reject_degenerate_t1():
     with pytest.raises(ValueError):
         poly_roots_on_circle(poly)
 
-
-def test_json_export(tmp_path):
-    poly = partition_poly_recursive(TreeSpec("rooted", 1, 2), Fraction(1, 2))
-    path = tmp_path / "poly.json"
-    poly.write_json(path)
-    doc = json.loads(path.read_text())
-    assert doc["coefficients"] == ["1/1", "5/4", "5/4", "1/1"]
-    assert doc["exact"] is True

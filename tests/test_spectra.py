@@ -105,9 +105,11 @@ def test_birkhoff_t0_is_exactly_log_k(k):
     lambda: birkhoff_exponents([0.0], [0.2], 2, n_steps=10, burn_in=-1),
     lambda: birkhoff_exponents([0.0], [0.2], 2, n_steps=10, n_seeds=1),
     lambda: lyapunov_mme(ModelParams(2, 0.2, 0.0), depth=0),
-], ids=["n_steps", "burn_in", "n_seeds", "depth"])
+    lambda: lyapunov_mme(ModelParams(2, 0.2, 0.0), depth=1),
+], ids=["n_steps", "burn_in", "n_seeds", "depth", "depth1"])
 def test_spectra_estimators_refuse_empty_samples(call):
-    # no estimate exists: no steps, a negative burn-in, one seed (no spread) or no level
+    # no estimate exists: no steps, a negative burn-in, one seed (no spread),
+    # no level or one level (no spread)
     with pytest.raises(ValueError):
         call()
 

@@ -59,7 +59,7 @@ def test_vertex_counts():
 def test_edges_match_counts():
     for spec in (TreeSpec("rooted", 3, 2), TreeSpec("full", 2, 3), TreeSpec("rooted", 1, 5)):
         edges = spec.edges()
-        assert len(edges) == spec.edge_count
+        assert len(edges) == spec.vertex_count - 1
         vertices = {v for e in edges for v in e}
         assert vertices == set(range(spec.vertex_count))
 
