@@ -31,10 +31,10 @@ class ConfigError(ValueError):
 
 def _parse_t(text: str):
     """Temperature variable as a float, or exact Fraction for 'p/q' input."""
-    if "/" in text:
-        value = Fraction(text)
-    else:
-        value = float(text)
+    try:
+        value = Fraction(text) if "/" in text else float(text)
+    except ZeroDivisionError as exc:
+        raise ConfigError(f"t has a zero denominator: {text}") from exc
     if not (0 <= value < 1):
         raise ConfigError(f"t must lie in [0, 1), got {text}")
     return value

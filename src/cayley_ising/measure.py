@@ -111,6 +111,8 @@ def cdf_distance_rooted_full(k: int, n: int, t: float, grid: int = 10_000) -> fl
 
 def histogram(em: EmpiricalMeasure, bins: int = 360):
     """(bin center, mass) pairs over (-pi, pi], exact counts per bin."""
+    if bins < 1:
+        raise ValueError(f"histogram needs at least one bin, got {bins}")
     edges = np.linspace(-math.pi, math.pi, bins + 1)
     counts = em.counts(edges)
     masses = np.diff(counts) / em.total
@@ -119,6 +121,8 @@ def histogram(em: EmpiricalMeasure, bins: int = 360):
 
 
 def write_cdf_csv(path, em: EmpiricalMeasure, grid: int = 2048) -> None:
+    if grid < 1:
+        raise ValueError(f"CDF grid needs at least one point, got {grid}")
     phis = np.linspace(-math.pi, math.pi, grid)
     write_csv(path, ("phi", "cdf"), zip(phis, empirical_cdf(phis, em)))
 

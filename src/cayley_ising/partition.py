@@ -6,8 +6,10 @@ t-exponent counts unsatisfied edges.  Conditioning on the root spin gives
 the pair recursion A' = (A + tB)^k, B' = z(tA + B)^k with A_0 = 1,
 B_0 = z; the full tree composes one final step with exponent k+1.  The
 brute-force path sums Gibbs weights over all 2^|V| spin configurations.
-Both are exact in rational arithmetic; a float t is converted exactly,
-since every double is a dyadic rational.
+Both are exact: with t = p/q the recursion runs on integers, each step
+one integer power of a polynomial packed into a single Python int, and
+the brute force applies the t-powers in rational arithmetic.  A float t
+is converted exactly, since every double is a dyadic rational.
 
 The circle roots are found without rounding.  Lee-Yang puts every root
 on the unit circle, so for the palindromic integer polynomial of degree
@@ -59,55 +61,38 @@ class PartitionPolynomial:
         return acc
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_pow(a, k: int):
-    result = [Fraction(1)]
-    base = a
-    # binary powering keeps the number of long convolutions at O(log k)
-    while k > 0:
-        if k & 1:
-            result = _poly_mul(result, base)
-        k >>= 1
-        if k:
-            base = _poly_mul(base, base)
-    return result
-
-
-def _poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
+def _pair_sum(steps, p: int, q: int, z: int) -> int:
+    """q-cleared A + B of the pair recursion at the integer z, for t = p/q."""
+    a, b = 1, z
+    for k in steps:
+        a, b = (q * a + p * b) ** k, z * (p * a + q * b) ** k
+    return a + b
 
 
 def partition_poly_recursive(tree: TreeSpec, t) -> PartitionPolynomial:
-    """Exact conditional-pair recursion for rational (or float) t in [0, 1]."""
+    """Exact conditional-pair recursion for rational (or float) t in [0, 1].
+
+    Writing t = p/q and clearing denominators gives a' = (qa + pb)^k and
+    b' = z(pa + qb)^k, with non-negative integer coefficients.  Evaluating
+    it at z = 2^w (Kronecker substitution) turns each step into integer
+    arithmetic and yields P(2^w) exactly; every coefficient of P lies in
+    [0, P(1)], so w = bit length of P(1), rounded up to whole bytes, keeps
+    the coefficients in separate slots.  The constant coefficient is the
+    common denominator, since c_0 = 1 (the all-up configuration).
+    """
     if tree.vertex_count > MAX_RECURSION_VERTICES:
         raise ValueError(
             f"tree has {tree.vertex_count} vertices; the coefficient recursion is "
-            f"capped at {MAX_RECURSION_VERTICES} (rational magnitudes and memory grow "
+            f"capped at {MAX_RECURSION_VERTICES} (its integers and memory grow "
             "beyond desk scale past this point)"
         )
     t = _exact_t(t)
-    a = [Fraction(1)]
-    b = [Fraction(0), Fraction(1)]
-    for k_step in tree.steps:
-        plus = _poly_add(a, [t * c for c in b])
-        minus = _poly_add([t * c for c in a], b)
-        a = _poly_pow(plus, k_step)
-        b = [Fraction(0)] + _poly_pow(minus, k_step)  # times z
-    return PartitionPolynomial(tree, t, tuple(_poly_add(a, b)))
+    p, q = t.numerator, t.denominator
+    width = (_pair_sum(tree.steps, p, q, 1).bit_length() + 7) // 8
+    packed = _pair_sum(tree.steps, p, q, 1 << (8 * width))
+    raw = packed.to_bytes((tree.vertex_count + 1) * width, "little")
+    ints = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    return PartitionPolynomial(tree, t, tuple(Fraction(c, ints[0]) for c in ints))
 
 
 def partition_poly_bruteforce(tree: TreeSpec, t) -> PartitionPolynomial:

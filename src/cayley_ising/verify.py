@@ -174,12 +174,20 @@ def degree_identity_gap(cases):
 
 
 def conjugate_symmetry_gap(zero_sets):
-    """Criterion 11: worst chord from a zero's conjugate to its nearest zero."""
+    """Criterion 11: worst chord from a zero's conjugate to its nearest zero.
+
+    The nearest zero to conj(z) = e^{-ia} sits next to -a in the sorted
+    angles, so each chord is taken over a few circular neighbours of that
+    position instead of all N zeros (the chord matrix is symmetric, so one
+    axis covers both directions)."""
     worst = 0.0
     for zs in zero_sets:
-        za = np.exp(1j * zs.angles)
-        chord = np.abs(np.conj(za)[:, None] - za[None, :])
-        worst = max(worst, float(max(chord.min(axis=0).max(), chord.min(axis=1).max())))
+        angles = np.sort(zs.angles)
+        za = np.exp(1j * angles)
+        idx = np.searchsorted(angles, -angles)
+        near = (idx[:, None] + np.arange(-2, 2)) % len(angles)
+        chord = np.abs(np.conj(za)[:, None] - za[near])
+        worst = max(worst, float(chord.min(axis=1).max()))
     return worst
 
 

@@ -49,6 +49,8 @@ def test_exit_codes(tmp_path):
     assert run(["zeros", "--k", 2, "--n", 1, "--t", "1.5", "--out", tmp_path / "x.csv"]) == 1
     assert run(["zeros", "--k", 2, "--n", 1, "--t", "0.5", "--out", tmp_path / "no" / "x.csv"]) == 1
     assert run(["nonsense"]) == 1
+    assert run(["zeros", "--k", 2, "--n", 3, "--t", "1/0", "--out", tmp_path / "x.csv"]) == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -85,6 +87,12 @@ def test_measure_outputs(tmp_path):
     assert run(["measure", "--k", 2, "--n", 6, "--t", "0.5", "--kind", "hist", "--bins", 16, "--out", hist]) == 0
     masses = [float(line.split(",")[1]) for line in hist.read_text().strip().splitlines()[1:]]
     assert sum(masses) == pytest.approx(1.0, abs=1e-12)
+
+    # an empty grid or histogram is refused before the file is opened
+    for kind, flag, value in (("hist", "--bins", 0), ("hist", "--bins", -1), ("cdf", "--grid", 0)):
+        out = tmp_path / f"empty-{kind}{value}.csv"
+        assert run(["measure", "--k", 2, "--n", 6, "--t", "0.5", "--kind", kind, flag, value, "--out", out]) == 1
+        assert not out.exists()
 
 
 def test_spectra_json(tmp_path):

@@ -124,6 +124,9 @@ def test_histogram_sums_to_one():
     centers, masses = histogram(m, bins=64)
     assert len(centers) == 64
     assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+    for bins in (0, -1):
+        with pytest.raises(ValueError):
+            histogram(m, bins=bins)
 
 
 def test_counts_match_enumeration_above_half():

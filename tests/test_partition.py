@@ -19,6 +19,10 @@ def test_recursive_known_coefficients():
     assert p.coeffs == (Fraction(1), Fraction(5, 4), Fraction(5, 4), Fraction(1))
     p0 = partition_poly_recursive(TreeSpec("rooted", 0, 2), Fraction(1, 3))
     assert p0.coeffs == (Fraction(1), Fraction(1))
+    # t = 0 admits only the two aligned configurations: 1 + z^|V|
+    for tree in (TreeSpec("rooted", 4, 3), TreeSpec("full", 3, 2)):
+        n_v = tree.vertex_count
+        assert partition_poly_recursive(tree, 0).coeffs == (1,) + (0,) * (n_v - 1) + (1,)
 
 
 def test_t_equals_one_is_binomial():
@@ -33,6 +37,8 @@ def test_recursive_equals_bruteforce_exactly():
         (TreeSpec("full", 1, 2), Fraction(1, 3)),
         (TreeSpec("full", 2, 2), Fraction(1, 5)),
         (TreeSpec("rooted", 1, 4), Fraction(9, 10)),
+        # float 0.1 is the dyadic 3602879701896397 / 2^55
+        (TreeSpec("rooted", 2, 3), 0.1),
     ]
     for tree, t in cases:
         rec = partition_poly_recursive(tree, t)
@@ -42,11 +48,17 @@ def test_recursive_equals_bruteforce_exactly():
 
 
 def test_palindrome_and_positivity():
-    for tree in (TreeSpec("rooted", 3, 2), TreeSpec("full", 2, 3)):
-        p = partition_poly_recursive(tree, Fraction(1, 7))
+    for tree, t in (
+        (TreeSpec("rooted", 3, 2), Fraction(1, 7)),
+        (TreeSpec("full", 2, 3), Fraction(1, 7)),
+        (TreeSpec("rooted", 8, 2), Fraction(213, 1000)),  # degree 511
+    ):
+        p = partition_poly_recursive(tree, t)
+        assert p.degree == tree.vertex_count
         assert p.coeffs == p.coeffs[::-1]
         assert all(c > 0 for c in p.coeffs)
         assert p.coeffs[0] == 1 and p.coeffs[-1] == 1
+        assert p(1) == sum(p.coeffs)
 
 
 def test_gibbs_sum_at_z_one():

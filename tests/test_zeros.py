@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cayley_ising.zeros as zeros_module
+from cayley_ising import verify
 from cayley_ising.core import phi_e
 from cayley_ising.measure import EmpiricalMeasure
 from cayley_ising.zeros import (
@@ -140,6 +141,21 @@ def test_zero_free_arc():
         for variant in ("rooted", "full"):
             zs = enumerate_zeros(TreeSpec(variant, 9, 2), t)
             assert min_positive_zero(zs) >= edge - 1e-6
+
+
+def test_conjugate_symmetry_gap_matches_dense_chords():
+    for tree, t in (
+        (TreeSpec("rooted", 5, 2), 0.45),
+        (TreeSpec("full", 4, 2), 0.9),
+        (TreeSpec("rooted", 3, 3), 0.0),
+        (TreeSpec("full", 3, 3), 0.99),
+        (TreeSpec("rooted", 0, 2), 0.3),
+    ):
+        zs = enumerate_zeros(tree, t)
+        za = np.exp(1j * zs.angles)
+        chord = np.abs(np.conj(za)[:, None] - za[None, :])
+        dense = float(max(chord.min(axis=0).max(), chord.min(axis=1).max()))
+        assert verify.conjugate_symmetry_gap([zs]) == dense
 
 
 def test_workers_deterministic():
