@@ -32,9 +32,12 @@ class EmpiricalMeasure:
 
         G is odd with G(pi) = pi|V|, so (-pi, 0] holds |V|//2 zeros and the
         branch count adds the rest; phi <= -pi reads 0 and phi >= pi reads
-        |V| without evaluating the lift at the seam z = -1.
+        |V| without evaluating the lift at the seam z = -1 (so +-inf read
+        0 and |V|).  A NaN raises ValueError.
         """
         phi = np.asarray(phi, dtype=float)
+        if np.isnan(phi).any():
+            raise ValueError("counts got phi = nan; angles must not be NaN")
         inside = (phi > -math.pi) & (phi < math.pi)
         c = branch_count(np.where(inside, phi, 0.0), self.tree, self.t) + self.total // 2
         return np.where(inside, c, np.where(phi >= math.pi, self.total, 0))
@@ -70,8 +73,15 @@ def interval_mass(a: float, b: float, em: EmpiricalMeasure):
 
 
 def symmetric_mass(phi: float, zeta, em: EmpiricalMeasure):
-    """Mass of [phi-zeta, phi+zeta] clipped to the period, vectorized in zeta."""
+    """Mass of [phi-zeta, phi+zeta] clipped to the period, vectorized in zeta.
+
+    phi must be finite and zeta free of NaN (zeta = inf is the whole period);
+    otherwise ValueError."""
+    if not math.isfinite(phi):
+        raise ValueError(f"symmetric_mass needs a finite centre, got phi = {phi}")
     zeta = np.asarray(zeta, dtype=float)
+    if np.isnan(zeta).any():
+        raise ValueError("symmetric_mass got zeta = nan; radii must not be NaN")
     lo = np.clip(phi - zeta, -math.pi, math.pi)
     hi = np.clip(phi + zeta, -math.pi, math.pi)
     counts_hi = em.counts(hi)

@@ -12,6 +12,15 @@ One pass of the lift over a uniform grid on [0, pi] counts the branches
 below each node, which brackets every phi_m in one grid cell; a
 bracket-safeguarded Newton iteration (rtsafe) then shrinks each bracket
 to one ulp of pi.
+
+The lift is carried as the circle point w = e^{i psi} next to an int64
+winding: each level applies the Blaschke product w -> z((w+t)/(1+tw))^k
+in complex arithmetic and takes two arctan2, one for the lifted Moebius
+angle and one for the new psi, with no sin, cos or remainder.  The seam
+rule: psi lives on (-pi, pi], so where arctan2 returns -pi the angle is
+set to pi and Im w to +0.0, and the starting point is e^{i psi} of the
+reduced angle, never e^{i phi}; otherwise a point at the seam is read
+from the wrong side and its winding is off by k^level.
 """
 
 from __future__ import annotations
@@ -22,13 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU, _lift, _lift_derivative, _validate_t, write_csv
+from .core import TAU, _validate_t, write_csv
 
-# zeros whose lift lands within this angle below pi are counted as being at
-# the branch seam (the set lives on (-pi, pi], so seam hits belong to +pi)
-SEAM_GUARD = 1e-9
+# bound on the rounding error of the composed lift, in ulp(pi) per unit of
+# G'(phi) (see iterated_lift): a lift that lands within it below pi is
+# counted as being at the seam
+SEAM_ULPS = 16
 
 _CHUNK = 1 << 17
+# iterated_lift runs its levels over slices of this many angles, so the
+# scratch arrays of one slice stay in cache
+_BLOCK = 1 << 14
 # smallest slice handed to a thread when workers > 1
 _MIN_CHUNK = 1 << 12
 
@@ -107,9 +120,13 @@ def zero_count(tree: TreeSpec) -> int:
 
 
 def _wrap_angle(theta):
-    """Reduce into (-pi, pi]."""
+    """Reduce into (-pi, pi]; angles already there come back unchanged."""
+    theta = np.asarray(theta, dtype=float)
+    inside = (theta > -math.pi) & (theta <= math.pi)
+    if inside.all():
+        return theta.copy()
     psi = np.remainder(theta + math.pi, TAU) - math.pi
-    return np.where(psi == -math.pi, math.pi, psi)
+    return np.where(inside, theta, np.where(psi == -math.pi, math.pi, psi))
 
 
 def iterated_lift(phi, tree: TreeSpec, t: float, derivative: bool = False):
@@ -118,8 +135,21 @@ def iterated_lift(phi, tree: TreeSpec, t: float, derivative: bool = False):
     G(phi) = psi + 2pi*winding with psi in (-pi, pi].  The winding number is
     an exact int64 (|winding| <= |V| for phi in [-pi, pi], and trees beyond
     2^62 vertices are refused), so the reduced angle psi keeps full
-    precision even when G is of order 2pi*|V|; sin/cos are only ever
-    evaluated on reduced angles.
+    precision even when G is of order 2pi*|V|.  The outputs have the shape
+    of phi; a non-finite phi raises ValueError.
+
+    Each level steps the point w = e^{i psi} of the circle through the
+    Blaschke product w -> z((w+t)/(1+tw))^k with z = e^{i phi}, in complex
+    arithmetic (see _lift_steps); the reduced angle is psi = arg w, and the
+    winding gains the integer that takes arg w to the lifted angle
+    k*arg((w+t)/(1+tw)) + phi.  Seam rule: the start is w = e^{i psi} of the
+    reduced angle, and where arctan2 returns -pi, psi becomes pi and Im w
+    +0.0, so every level reads a point on the seam from the side psi says.
+
+    The rounding error of G is a few ulp(pi) per unit of dG/dphi: up to
+    about 9 for t <= 0.95 against an extended-precision angle form.  It
+    grows like 1/(1-t^2) as t -> 1, because near w = -1 the rounding of
+    Re w turns the Moebius angle.
     """
     _validate_t(t)
     if tree.vertex_count > MAX_VERTICES:
@@ -127,27 +157,94 @@ def iterated_lift(phi, tree: TreeSpec, t: float, derivative: bool = False):
             f"{tree.vertex_count} vertices exceed 2^62; the int64 winding would overflow"
         )
     phi = np.asarray(phi, dtype=float)
-    psi = _wrap_angle(phi)
-    wind = np.round((phi - psi) / TAU).astype(np.int64)
-    deriv = np.ones_like(psi)
-
-    for k_step in tree.steps:
-        if derivative:
-            deriv = _lift_derivative(psi, t, k_step) * deriv + 1.0
-        raw = _lift(psi, phi, t, k_step)
-        new_psi = _wrap_angle(raw)
-        wind = k_step * wind + np.round((raw - new_psi) / TAU).astype(np.int64)
-        psi = new_psi
+    finite = np.isfinite(phi)
+    if not finite.all():
+        raise ValueError(f"the lift needs finite angles, got phi = {phi[~finite].flat[0]}")
+    flat = phi.reshape(-1)
+    psi = _wrap_angle(flat)
+    wind = np.rint((flat - psi) / TAU).astype(np.int64)
+    deriv = np.ones_like(psi) if derivative else None
+    # equal slices of at most _BLOCK angles, each stepped through every level
+    blocks = max(-(-len(flat) // _BLOCK), 1)
+    size = max(-(-len(flat) // blocks), 1)
+    scratch = [np.empty(size, complex) for _ in range(4)] + [np.empty(size) for _ in range(4)]
+    scratch += [np.empty(size, np.int64), np.empty(size, bool)]
+    for i in range(0, len(flat), size):
+        part = slice(i, i + size)
+        _lift_steps(
+            flat[part], psi[part], wind[part], None if deriv is None else deriv[part], tree.steps, t, scratch
+        )
+    out = (psi.reshape(phi.shape), wind.reshape(phi.shape))
     if derivative:
-        return psi, wind, deriv
-    return psi, wind
+        return out + (deriv.reshape(phi.shape),)
+    return out
+
+
+def _lift_steps(phi, psi, wind, deriv, steps, t, scratch):
+    """Run the composed lift on one slice, updating psi, wind and deriv in place.
+
+    With w = e^{i psi}, m = (w + t)(1 + t conj(w)) has m/|m| = (w+t)/(1+tw)
+    and |m| = |1+tw|^2, so the lift's derivative is k(1-t^2)/|m|.  Written
+    out, m = ((1+t^2) Re w + 2t) + i(1-t^2) Im w: the sign of Im m is
+    exactly that of Im w, so arctan2 gives the lifted Moebius angle on
+    (-pi, pi].  The step is w <- z(m/|m|)^k; every factor has modulus one to
+    rounding, so |w| stays within a few ulp of one without renormalising w.
+    """
+    n = len(phi)
+    w, v, z, u, raw, mod, m_re, m_im, turns, seam = (a[:n] for a in scratch)
+    np.multiply(psi, 1j, out=u)
+    np.exp(u, out=w)
+    # z = e^{i phi} is the starting point itself unless phi was reduced
+    if np.array_equal(psi, phi):
+        np.copyto(z, w)
+    else:
+        np.multiply(phi, 1j, out=u)
+        np.exp(u, out=z)
+    for k in steps:
+        np.multiply(w.real, 1.0 + t * t, out=m_re)
+        m_re += 2.0 * t
+        np.multiply(w.imag, 1.0 - t * t, out=m_im)
+        np.arctan2(m_im, m_re, out=raw)
+        raw *= k
+        raw += phi
+        # mod <- 1/|m|; psi is free until the new angle is taken
+        np.multiply(m_re, m_re, out=mod)
+        np.multiply(m_im, m_im, out=psi)
+        mod += psi
+        np.sqrt(mod, out=mod)
+        np.divide(1.0, mod, out=mod)
+        if deriv is not None:
+            deriv *= mod
+            deriv *= k * (1.0 - t * t)
+            deriv += 1.0
+        np.multiply(m_re, mod, out=u.real)
+        np.multiply(m_im, mod, out=u.imag)
+        # the products alternate between two buffers: numpy rounds a
+        # one-element complex product written over its own input apart from
+        # its vector loop, which would tie the result to the slicing
+        np.multiply(z, u, out=w)
+        for _ in range(k - 1):
+            np.multiply(w, u, out=v)
+            w, v = v, w
+        np.arctan2(w.imag, w.real, out=psi)
+        np.equal(psi, -math.pi, out=seam)
+        np.copyto(psi, math.pi, where=seam)
+        np.copyto(w.imag, 0.0, where=seam)
+        raw -= psi
+        raw *= 1.0 / TAU
+        np.rint(raw, out=raw)
+        np.copyto(turns, raw, casting="unsafe")
+        wind *= k
+        wind += turns
 
 
 def branch_count(phi, tree: TreeSpec, t: float):
     """Integer C(phi) counting lift branches at or below phi; the exact zero
-    count on (a, b] is C(b) - C(a)."""
-    psi, wind = iterated_lift(phi, tree, t)
-    return wind + (psi >= math.pi - SEAM_GUARD)
+    count on (a, b] is C(b) - C(a).  A lift that lands within its own
+    rounding error below the seam, SEAM_ULPS * ulp(pi) * G'(phi), counts as
+    on it: the zero set lives on (-pi, pi], so seam hits belong to +pi."""
+    psi, wind, deriv = iterated_lift(phi, tree, t, derivative=True)
+    return wind + (psi >= math.pi - SEAM_ULPS * math.ulp(math.pi) * deriv)
 
 
 @dataclass(frozen=True)
@@ -286,8 +383,8 @@ def enumerate_zeros(
     images and, for odd |V|, exactly pi.
     """
     _validate_t(t)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n_zeros = zero_count(tree)
     if n_zeros > MAX_ZEROS:
         raise ValueError(f"{n_zeros} zeros exceed the enumeration cap of {MAX_ZEROS}")

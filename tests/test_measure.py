@@ -13,7 +13,7 @@ from cayley_ising.measure import (
     max_gap,
     symmetric_mass,
 )
-from cayley_ising.zeros import TreeSpec, enumerate_zeros
+from cayley_ising.zeros import TreeSpec, enumerate_zeros, iterated_lift
 
 
 def em(variant="rooted", n=6, k=2, t=0.5):
@@ -150,3 +150,34 @@ def test_counts_exact_beyond_float_integers():
     counts = m.counts(phis)
     assert counts.dtype == np.int64
     assert np.all(np.diff(counts) >= 0) and np.any(counts % 2 == 1)
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_counts_exact_just_around_every_zero(level):
+    # 2e-10 in lift units is far above the lift's rounding error, so the
+    # count must step exactly at each zero
+    m = em(n=level, t=0.4)
+    angles = enumerate_zeros(m.tree, m.t).angles
+    _, _, deriv = iterated_lift(angles, m.tree, m.t, derivative=True)
+    for sign in (-1.0, 1.0):
+        probes = angles + sign * 2e-10 / deriv
+        assert np.array_equal(m.counts(probes), np.searchsorted(angles, probes, side="right"))
+
+
+def test_counts_reject_nan_and_keep_infinities():
+    m = em(n=4, t=0.4)
+    with pytest.raises(ValueError, match="nan"):
+        m.counts(math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        m.counts(np.array([0.0, math.nan]))
+    assert m.counts(-math.inf) == 0 and m.counts(math.inf) == m.total
+
+
+def test_symmetric_mass_rejects_nan_centre():
+    with pytest.raises(ValueError, match="phi = nan"):
+        symmetric_mass(math.nan, 0.1, em(n=4, t=0.4))
+
+
+def test_symmetric_mass_rejects_nan_radius():
+    with pytest.raises(ValueError, match="zeta = nan"):
+        symmetric_mass(0.1, [math.nan], em(n=4, t=0.4))

@@ -4,6 +4,11 @@ deleted name breaks the traced runs, so install and remove it here."""
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from cayley_ising.measure import EmpiricalMeasure
+from cayley_ising.zeros import TreeSpec, enumerate_zeros
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.tracing import Tracer  # noqa: E402
@@ -19,3 +24,18 @@ def test_tracer_installs_and_restores_every_hook():
     finally:
         tracer.remove()
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_traced_enumeration_and_counts_reach_the_lift():
+    # the per-layer lift metrics are read off the wrapped zeros.iterated_lift;
+    # a kernel reached around that name would leave them at 0
+    tree = TreeSpec("rooted", 6, 2)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        enumerate_zeros(tree, 0.5)
+        EmpiricalMeasure(tree, 0.5).counts(np.linspace(-3.0, 3.0, 16))
+    finally:
+        tracer.remove()
+    assert tracer.counts["zeros.lift_passes"] > 0
+    assert tracer.counts["zeros.lift_point_levels"] >= (tree.vertex_count - 1) * tree.level

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cayley_ising.zeros as zeros_module
 from cayley_ising import verify
-from cayley_ising.core import phi_e
+from cayley_ising.core import TAU, ModelParams, lift_eval, phi_e
 from cayley_ising.measure import EmpiricalMeasure
 from cayley_ising.zeros import (
     MAX_ZEROS,
@@ -288,3 +288,77 @@ def test_enumeration_cap_refuses_before_allocating():
     assert zero_count(tree) > MAX_ZEROS
     with pytest.raises(ValueError, match="cap"):
         enumerate_zeros(tree, 0.5)
+
+
+def test_iterated_lift_rejects_non_finite_angles():
+    with pytest.raises(ValueError, match="phi = nan"):
+        iterated_lift([math.nan, math.inf], TreeSpec("rooted", 3, 2), 0.4)
+
+
+def test_enumerate_rejects_nan_tol():
+    with pytest.raises(ValueError, match="got nan"):
+        enumerate_zeros(TreeSpec("rooted", 4, 2), 0.5, tol=math.nan)
+
+
+def test_iterated_lift_keeps_input_shape():
+    tree = TreeSpec("full", 3, 3)
+    expected = iterated_lift(np.array([0.7]), tree, 0.5, derivative=True)
+    for phi in (0.7, np.float64(0.7), np.array(0.7), np.full((2, 3), 0.7)):
+        out = iterated_lift(phi, tree, 0.5, derivative=True)
+        for got, want in zip(out, expected):
+            assert np.shape(got) == np.shape(phi)
+            assert np.all(got == want[0])
+
+
+def theta_form_lift(phi, tree: TreeSpec, t: float):
+    """Reference composed lift stepped on the angle itself: lift_eval at each
+    level, the result reduced into [-pi, pi) by np.remainder."""
+    psi = np.remainder(phi + math.pi, TAU) - math.pi
+    wind = np.rint((phi - psi) / TAU)
+    for k in tree.steps:
+        raw = lift_eval(psi, ModelParams(k, t)) + phi
+        psi = np.remainder(raw + math.pi, TAU) - math.pi
+        wind = k * wind + np.rint((raw - psi) / TAU)
+    return psi, wind
+
+
+@st.composite
+def lift_trees(draw):
+    k = draw(st.sampled_from([2, 3, 4]))
+    variant = draw(st.sampled_from(["rooted", "full"]))
+    return TreeSpec(variant, draw(st.integers(1 if variant == "full" else 0, 10)), k)
+
+
+# angles every example includes: the seam, its images one turn away, 0 and
+# the double just below pi
+_SEAM_PHIS = [math.pi, -math.pi, math.pi + TAU, math.pi - TAU, -math.pi + TAU, -math.pi - TAU]
+_SEAM_PHIS += [0.0, float(np.nextafter(math.pi, 0.0))]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    tree=lift_trees(),
+    t=st.floats(0.0, 0.95),
+    phis=st.lists(st.floats(-3.0 * math.pi, 3.0 * math.pi), max_size=24),
+)
+def test_iterated_lift_matches_theta_form(tree, t, phis):
+    """The complex-arithmetic lift agrees with the angle form to the rounding
+    of both, c * eps * G'(phi), with the same winding wherever the angle form
+    does not land within that distance of the seam; enumeration on two
+    threads is byte-identical to one."""
+    phi = np.array(_SEAM_PHIS + phis)
+    psi, wind, deriv = iterated_lift(phi, tree, t, derivative=True)
+    ref_psi, ref_wind = theta_form_lift(phi, tree, t)
+    tol = 64.0 * np.finfo(float).eps * deriv
+    gap = (psi - ref_psi) + TAU * (wind - ref_wind)
+    assert np.all(np.abs(gap) <= tol)
+    off_seam = np.abs(ref_psi) < math.pi - tol
+    assert np.array_equal(wind[off_seam], ref_wind[off_seam])
+
+    if tree.vertex_count <= 1 << 12:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeros_module, "_MIN_CHUNK", 16)
+            one = enumerate_zeros(tree, t, workers=1)
+            two = enumerate_zeros(tree, t, workers=2)
+        assert one.angles.tobytes() == two.angles.tobytes()
+        assert one.residuals.tobytes() == two.residuals.tobytes()
