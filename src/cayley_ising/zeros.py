@@ -39,9 +39,6 @@ from .core import TAU, _validate_t, write_csv
 SEAM_ULPS = 16
 
 _CHUNK = 1 << 17
-# iterated_lift runs its levels over slices of this many angles, so the
-# scratch arrays of one slice stay in cache
-_BLOCK = 1 << 14
 # smallest slice handed to a thread when workers > 1
 _MIN_CHUNK = 1 << 12
 
@@ -123,8 +120,6 @@ def _wrap_angle(theta):
     """Reduce into (-pi, pi]; angles already there come back unchanged."""
     theta = np.asarray(theta, dtype=float)
     inside = (theta > -math.pi) & (theta <= math.pi)
-    if inside.all():
-        return theta.copy()
     psi = np.remainder(theta + math.pi, TAU) - math.pi
     return np.where(inside, theta, np.where(psi == -math.pi, math.pi, psi))
 
@@ -164,24 +159,15 @@ def iterated_lift(phi, tree: TreeSpec, t: float, derivative: bool = False):
     psi = _wrap_angle(flat)
     wind = np.rint((flat - psi) / TAU).astype(np.int64)
     deriv = np.ones_like(psi) if derivative else None
-    # equal slices of at most _BLOCK angles, each stepped through every level
-    blocks = max(-(-len(flat) // _BLOCK), 1)
-    size = max(-(-len(flat) // blocks), 1)
-    scratch = [np.empty(size, complex) for _ in range(4)] + [np.empty(size) for _ in range(4)]
-    scratch += [np.empty(size, np.int64), np.empty(size, bool)]
-    for i in range(0, len(flat), size):
-        part = slice(i, i + size)
-        _lift_steps(
-            flat[part], psi[part], wind[part], None if deriv is None else deriv[part], tree.steps, t, scratch
-        )
+    _lift_steps(flat, psi, wind, deriv, tree.steps, t)
     out = (psi.reshape(phi.shape), wind.reshape(phi.shape))
     if derivative:
         return out + (deriv.reshape(phi.shape),)
     return out
 
 
-def _lift_steps(phi, psi, wind, deriv, steps, t, scratch):
-    """Run the composed lift on one slice, updating psi, wind and deriv in place.
+def _lift_steps(phi, psi, wind, deriv, steps, t):
+    """Run the composed lift, updating psi, wind and deriv in place.
 
     With w = e^{i psi}, m = (w + t)(1 + t conj(w)) has m/|m| = (w+t)/(1+tw)
     and |m| = |1+tw|^2, so the lift's derivative is k(1-t^2)/|m|.  Written
@@ -191,15 +177,13 @@ def _lift_steps(phi, psi, wind, deriv, steps, t, scratch):
     rounding, so |w| stays within a few ulp of one without renormalising w.
     """
     n = len(phi)
-    w, v, z, u, raw, mod, m_re, m_im, turns, seam = (a[:n] for a in scratch)
+    w, v, z, u = (np.empty(n, complex) for _ in range(4))
+    raw, mod, m_re, m_im = (np.empty(n) for _ in range(4))
+    turns, seam = np.empty(n, np.int64), np.empty(n, bool)
     np.multiply(psi, 1j, out=u)
     np.exp(u, out=w)
-    # z = e^{i phi} is the starting point itself unless phi was reduced
-    if np.array_equal(psi, phi):
-        np.copyto(z, w)
-    else:
-        np.multiply(phi, 1j, out=u)
-        np.exp(u, out=z)
+    np.multiply(phi, 1j, out=u)
+    np.exp(u, out=z)
     for k in steps:
         np.multiply(w.real, 1.0 + t * t, out=m_re)
         m_re += 2.0 * t
