@@ -90,20 +90,25 @@ def lift_eval(theta, p: ModelParams):
     bounded below by 1-t > 0, so the lift is smooth on all of R and
     satisfies lift(theta + 2pi) = lift(theta) + 2pi k.
     """
-    return _lift(theta, p.phi, p.t, p.k)
-
-
-def _lift(theta, phi, t, k):
-    return k * theta - 2.0 * k * np.arctan2(t * np.sin(theta), 1.0 + t * np.cos(theta)) + phi
+    k, t = p.k, p.t
+    return k * theta - 2.0 * k * np.arctan2(t * np.sin(theta), 1.0 + t * np.cos(theta)) + p.phi
 
 
 def lift_derivative(theta, p: ModelParams):
     """d(lift)/d(theta) = k(1-t^2)/(1+2t cos(theta)+t^2) > 0."""
-    return _lift_derivative(theta, p.t, p.k)
-
-
-def _lift_derivative(theta, t, k):
+    k, t = p.k, p.t
     return k * (1.0 - t * t) / (1.0 + 2.0 * t * np.cos(theta) + t * t)
+
+
+def inverse_moebius_lift(u, t: float):
+    """psi_{-t}(u) = u + 2 atan2(t sin u, 1 - t cos u), the lifted argument of
+    the inverse Moebius map w -> (w-t)/(1-tw).
+
+    It inverts psi_t(theta) = theta - 2 atan2(t sin theta, 1 + t cos theta) on
+    all of R, so lift(y) = x iff y = psi_{-t}((x - phi)/k); its derivative is
+    (1-t^2)/(1 - 2t cos u + t^2).
+    """
+    return u + 2.0 * np.arctan2(t * np.sin(u), 1.0 - t * np.cos(u))
 
 
 # ---------------------------------------------------------------------------

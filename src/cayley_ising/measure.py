@@ -1,8 +1,10 @@
 """Empirical zero-counting measure of a finite tree.
 
-The CDF is computed by exact integer counting of lift branches (O(level)
-per query, no enumeration), so N*M(phi) is always the exact number of
-zeros in (-pi, phi].
+The CDF is computed by integer counting of lift branches (O(level) per
+query, no enumeration), so N*M(phi) is the exact number of zeros in
+(-pi, phi], except for a query whose lift G(phi) lands within its own
+rounding, SEAM_ULPS * ulp(pi) * G'(phi), of a zero's branch value: that
+count can be off by one.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ class EmpiricalMeasure:
         return self.tree.vertex_count
 
     def counts(self, phi):
-        """Exact number of zeros in (-pi, phi] for scalar or array phi.
+        """Number of zeros in (-pi, phi] for scalar or array phi: exact,
+        except where G(phi) lands within SEAM_ULPS * ulp(pi) * G'(phi) of a
+        zero's branch value pi + 2pi*m, where the lift's rounding can move
+        the count by one.
 
         G is odd with G(pi) = pi|V|, so (-pi, 0] holds |V|//2 zeros and the
         branch count adds the rest; phi <= -pi reads 0 and phi >= pi reads
@@ -84,8 +89,7 @@ def symmetric_mass(phi: float, zeta, em: EmpiricalMeasure):
         raise ValueError("symmetric_mass got zeta = nan; radii must not be NaN")
     lo = np.clip(phi - zeta, -math.pi, math.pi)
     hi = np.clip(phi + zeta, -math.pi, math.pi)
-    counts_hi = em.counts(hi)
-    counts_lo = em.counts(lo)
+    counts_hi, counts_lo = em.counts(np.stack([hi, lo]))
     out = (counts_hi - counts_lo) / em.total
     return float(out) if out.ndim == 0 else out
 

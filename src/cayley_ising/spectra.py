@@ -26,11 +26,12 @@ import numpy as np
 from .core import (
     TAU,
     ModelParams,
-    _lift,
-    _lift_derivative,
     critical_temperature,
     fixed_points,
     interior_support,
+    inverse_moebius_lift,
+    lift_derivative,
+    lift_eval,
     phi_e,
     write_csv,
 )
@@ -172,18 +173,13 @@ class MmeEstimate:
 
 
 def _preimages(targets: np.ndarray, phi: float, t: float, k: int) -> np.ndarray:
-    """All k preimages in [-pi, pi] of each target angle under the lift.
-
-    The lift is k*psi_t(theta) + phi, where psi_t(theta) = theta -
-    2 atan2(t sin theta, 1 + t cos theta) is the lifted argument of the
-    Moebius map (w+t)/(1+tw).  Its inverse is psi_{-t}, so each goal angle
-    of the branch window [lift(-pi), lift(pi)) inverts in closed form.
-    """
-    base = float(_lift(-math.pi, phi, t, k))
+    """All k preimages in [-pi, pi] of each target angle under the lift:
+    each goal angle of the branch window [lift(-pi), lift(pi)) inverts in
+    closed form through psi_{-t} (core.inverse_moebius_lift)."""
+    base = float(lift_eval(-math.pi, ModelParams(k, t, phi)))
     j0 = np.ceil((base - targets) / TAU)
     goals = targets[None, :] + TAU * (j0[None, :] + np.arange(k)[:, None])
-    u = (goals.ravel() - phi) / k
-    theta = u + 2.0 * np.arctan2(t * np.sin(u), 1.0 - t * np.cos(u))
+    theta = inverse_moebius_lift((goals.ravel() - phi) / k, t)
     return np.clip(theta, -math.pi, math.pi)
 
 
@@ -211,7 +207,7 @@ def lyapunov_mme(p: ModelParams, depth: int = 16) -> MmeEstimate:
     level_means = []
     for _ in range(depth):
         level = _preimages(level, p.phi, p.t, p.k)
-        level_means.append(float(np.mean(np.log(_lift_derivative(level, p.t, p.k)))))
+        level_means.append(float(np.mean(np.log(lift_derivative(level, p)))))
     means = np.array(level_means)
     value = float(means.mean())
     stderr = float(means.std(ddof=1) / math.sqrt(len(means)))

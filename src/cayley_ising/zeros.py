@@ -8,19 +8,22 @@ zeros are z = -1 (when |V| is odd) plus the mirror pairs +-phi_m, where
 phi_m in (0, pi) is the unique solution of G(phi) = pi + 2pi*m for
 m = 0 .. |V|//2 - 1.
 
-One pass of the lift over a uniform grid on [0, pi] counts the branches
-below each node, which brackets every phi_m in one grid cell; a
-bracket-safeguarded Newton iteration (rtsafe) then shrinks each bracket
-to one ulp of pi.
+Enumeration reads that condition backwards: each level's lift is an
+increasing bijection of R with a closed-form inverse, so at a trial phi the
+target pi + 2pi*m pulls back through the levels to a start x(phi), the
+winding kept in the integer digits of m.  F_m(phi) = phi - x(phi) has
+F_m' >= 1 and its one root in (0, pi) is phi_m, solved per branch by
+safeguarded Newton; |F_m| is the angular residual.
 
-The lift is carried as the circle point w = e^{i psi} next to an int64
-winding: each level applies the Blaschke product w -> z((w+t)/(1+tw))^k
-in complex arithmetic and takes two arctan2, one for the lifted Moebius
-angle and one for the new psi, with no sin, cos or remainder.  The seam
-rule: psi lives on (-pi, pi], so where arctan2 returns -pi the angle is
-set to pi and Im w to +0.0, and the starting point is e^{i psi} of the
-reduced angle, never e^{i phi}; otherwise a point at the seam is read
-from the wrong side and its winding is off by k^level.
+Counting (branch_count) runs the lift forwards, carried as the circle
+point w = e^{i psi} next to an int64 winding: each level applies the
+Blaschke product w -> z((w+t)/(1+tw))^k in complex arithmetic and takes
+two arctan2, one for the lifted Moebius angle and one for the new psi,
+with no sin, cos or remainder.  The seam rule: psi lives on (-pi, pi], so
+where arctan2 returns -pi the angle is set to pi and Im w to +0.0, and the
+starting point is e^{i psi} of the reduced angle, never e^{i phi};
+otherwise a point at the seam is read from the wrong side and its winding
+is off by k^level.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU, _validate_t, write_csv
+from .core import TAU, _validate_t, inverse_moebius_lift, write_csv
 
 # bound on the rounding error of the composed lift, in ulp(pi) per unit of
 # G'(phi) (see iterated_lift): a lift that lands within it below pi is
@@ -44,8 +47,8 @@ _MIN_CHUNK = 1 << 12
 
 # int64 winding is exact while |V| stays below this
 MAX_VERTICES = 1 << 62
-# enumerate_zeros refuses trees with more zeros than this: a solve holds
-# about 100 bytes per zero at its peak, 1.7 GB at the cap
+# enumerate_zeros refuses trees with more zeros than this: the solve holds
+# about 35 bytes per zero at its peak on large trees, 0.6 GB at the cap
 MAX_ZEROS = 1 << 24
 # a branch solve stops once its bracket is this wide (absolute: near phi = 0
 # a width of one ulp of phi may never be reached)
@@ -247,49 +250,67 @@ class ZeroSet:
         write_csv(path, ("index", "angle_radians", "residual"), zip(range(len(self)), self.angles, self.residuals))
 
 
-def _map_chunks(fn, arrays, workers):
-    """fn over slices of the arrays, concatenated per output.
+def _map_chunks(fn, x, workers):
+    """fn over slices of x, concatenated per output.
 
     One worker slices at _CHUNK; several slice at ceil(n / workers), at least
     _MIN_CHUNK and at most _CHUNK, so every thread gets a share of a small
     tree.  fn is elementwise, so the result does not depend on the slicing."""
-    n = len(arrays[0])
     size = _CHUNK
     if workers and workers > 1:
-        size = min(_CHUNK, max(-(-n // workers), _MIN_CHUNK))
-    chunks = [[a[i : i + size] for a in arrays] for i in range(0, max(n, 1), size)]
+        size = min(_CHUNK, max(-(-len(x) // workers), _MIN_CHUNK))
+    chunks = [x[i : i + size] for i in range(0, max(len(x), 1), size)]
     if workers and workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: fn(*c), chunks))
+            parts = list(pool.map(fn, chunks))
     else:
-        parts = [fn(*c) for c in chunks]
+        parts = [fn(c) for c in chunks]
     return [np.concatenate(out) for out in zip(*parts)]
 
 
-def _solve_branches(m, lo, hi, res_lo, res_hi, d_lo, d_hi, phi, tree: TreeSpec, t: float):
-    """Solve G(phi) = pi + 2pi*m by safeguarded Newton (rtsafe) from phi.
+def _pullback(phi, m, steps, t):
+    """(F_m(phi), F_m'(phi)): the target x + 2pi*n = pi + 2pi*m pulled back
+    through the levels top to bottom, F_m = phi - x - 2pi*n at the bottom.
 
-    The bracket keeps lo < root <= hi: res_* = G - pi - 2pi*m is negative at
-    lo and non-negative at hi, and d_* = G' there.  A Newton step is taken
-    only when it lands inside the bracket and at most halves the previous
-    step (a few ulp always pass); otherwise the bracket is bisected.  A
-    branch stops once hi - lo <= ulp(pi), an absolute width, so one ulp here
-    is max(ulp(phi), ulp(pi)/2); a Newton step under one ulp becomes a step
-    of one ulp towards the root, which crosses it and closes the bracket.
-    The solve returns whichever end has the smaller |res|, as
-    (phi, res, G'(phi)) in the order of m.
+    A level y -> k*psi_t(y) + phi pulls x + 2pi*n back to psi_{-t}(u) + 2pi*q,
+    with (q, r) = divmod(n, k) and u = (x - phi + 2pi*r)/k, so x stays of
+    order pi.  dx/dphi starts at 0 and stays negative, so F_m' >= 1.
     """
-    out_phi, out_res, out_d = (np.empty(len(m)) for _ in range(3))
+    x = np.full(len(phi), math.pi)
+    dx = np.zeros(len(phi))
+    n = m
+    for k in reversed(steps):
+        n, r = np.divmod(n, k)
+        u = (x - phi + TAU * r) / k
+        x = inverse_moebius_lift(u, t)
+        dx = (dx - 1.0) * ((1.0 - t * t) / k) / (1.0 + t * t - 2.0 * t * np.cos(u))
+    return phi - x - TAU * n, 1.0 - dx
+
+
+def _solve_branches(m, tree: TreeSpec, t: float):
+    """Solve F_m(phi) = 0 on (0, pi) by safeguarded Newton from the t = 0
+    zero (2m+1)pi/|V|, returning (phi, F_m(phi)) in the order of m.
+
+    The bracket keeps lo < root <= hi (F < 0 at lo, F >= 0 at hi); a Newton
+    step that leaves it becomes a bisection.  A branch stops once
+    hi - lo <= ulp(pi), an absolute width, so one ulp here is
+    max(ulp(phi), ulp(pi)/2); a Newton step under one ulp becomes a step of
+    one ulp towards the root, which crosses it and closes the bracket.  The
+    solve returns whichever end has the smaller |F|.
+    """
+    out_phi, out_res = np.empty(len(m)), np.empty(len(m))
     active = np.arange(len(m))
-    prev = hi - lo
+    lo, hi = np.zeros(len(m)), np.full(len(m), math.pi)
+    # the ends 0 and pi are never returned as zeros
+    res_lo, res_hi = np.full(len(m), -math.inf), np.full(len(m), math.inf)
+    phi = (2 * m + 1) * (math.pi / tree.vertex_count)
     for _ in range(_MAX_NEWTON):
         if not active.size:
-            return out_phi, out_res, out_d
-        psi, wind, deriv = iterated_lift(phi, tree, t, derivative=True)
-        res = (psi - math.pi) + TAU * (wind - m)
+            return out_phi, out_res
+        res, deriv = _pullback(phi, m, tree.steps, t)
         below = res < 0.0
-        lo, res_lo, d_lo = (np.where(below, a, b) for a, b in ((phi, lo), (res, res_lo), (deriv, d_lo)))
-        hi, res_hi, d_hi = (np.where(below, b, a) for a, b in ((phi, hi), (res, res_hi), (deriv, d_hi)))
+        lo, res_lo = np.where(below, phi, lo), np.where(below, res, res_lo)
+        hi, res_hi = np.where(below, hi, phi), np.where(below, res_hi, res)
 
         done = hi - lo <= _WIDTH
         if done.any():
@@ -297,57 +318,20 @@ def _solve_branches(m, lo, hi, res_lo, res_hi, d_lo, d_hi, phi, tree: TreeSpec, 
             at = active[done]
             out_phi[at] = np.where(take_hi, hi, lo)[done]
             out_res[at] = np.where(take_hi, res_hi, res_lo)[done]
-            out_d[at] = np.where(take_hi, d_hi, d_lo)[done]
             keep = ~done
-            active, m, lo, hi, res_lo, res_hi, d_lo, d_hi, phi, prev, res, deriv = (
-                a[keep] for a in (active, m, lo, hi, res_lo, res_hi, d_lo, d_hi, phi, prev, res, deriv)
+            active, m, lo, hi, res_lo, res_hi, phi, res, deriv = (
+                a[keep] for a in (active, m, lo, hi, res_lo, res_hi, phi, res, deriv)
             )
 
         newton = res / deriv
         ulp = np.maximum(np.spacing(phi), 0.5 * _WIDTH)
         trial = phi - newton
-        accept = (trial > lo) & (trial < hi) & (np.abs(newton) <= np.maximum(0.5 * np.abs(prev), 4.0 * ulp))
-        step = np.where(accept, newton, phi - 0.5 * (lo + hi))
+        step = np.where((trial > lo) & (trial < hi), newton, phi - 0.5 * (lo + hi))
         step = np.where(np.abs(newton) < ulp, np.where(res < 0.0, -ulp, ulp), step)
         phi = phi - step
-        prev = step
     raise RuntimeError(
         f"{len(active)} branch solves did not close their bracket in {_MAX_NEWTON} iterations"
     )
-
-
-def _brackets(tree: TreeSpec, t: float, workers):
-    """Grid pass: for each branch m < |V|//2, the grid cell (lo, hi] that
-    holds phi_m, with res and G' at its ends and a secant start inside it.
-
-    C0 = wind + (psi >= pi) counts the branches m >= 0 with G >= pi + 2pi*m,
-    so C0 <= m exactly where res < 0.  G(0) = 0 and G(pi) = pi|V| are exact;
-    z = -1 is a repelling fixed point, so the lift is never evaluated at pi.
-    """
-    n_zeros = zero_count(tree)
-    half, odd = divmod(n_zeros, 2)
-    nodes = np.linspace(0.0, math.pi, n_zeros + 1)
-    psi, wind, deriv = _map_chunks(
-        lambda x: iterated_lift(x, tree, t, derivative=True), [nodes[1:-1]], workers
-    )
-    psi = np.concatenate([[0.0], psi, [math.pi if odd else 0.0]])
-    wind = np.concatenate([[0], wind, [half]])
-    deriv = np.concatenate([[math.nan], deriv, [math.nan]])
-    # the running maximum keeps the search monotone should rounding make C0 dip
-    count = np.maximum.accumulate(wind + (psi >= math.pi))
-
-    m = np.arange(half, dtype=np.int64)
-    j_hi = np.searchsorted(count, m, side="right")
-    j_lo = j_hi - 1
-    res_lo = (psi[j_lo] - math.pi) + TAU * (wind[j_lo] - m)
-    res_hi = (psi[j_hi] - math.pi) + TAU * (wind[j_hi] - m)
-    lo, hi = nodes[j_lo], nodes[j_hi]
-    phi0 = lo + (hi - lo) * (res_lo / (res_lo - res_hi))
-    phi0 = np.where((phi0 > lo) & (phi0 < hi), phi0, 0.5 * (lo + hi))
-    # the exact ends 0 and pi are never returned as zeros
-    res_lo = np.where(j_lo == 0, -math.inf, res_lo)
-    res_hi = np.where(j_hi == n_zeros, math.inf, res_hi)
-    return [m, lo, hi, res_lo, res_hi, deriv[j_lo], deriv[j_hi], phi0]
 
 
 def enumerate_zeros(
@@ -359,9 +343,10 @@ def enumerate_zeros(
     ----------
     tree, t : tree specification and temperature variable in [0, 1).
     tol : angular residual tolerance; each returned angle satisfies
-        |G(phi) - pi - 2pi m| <= tol * G'(phi).
-    workers : number of threads for the chunked lift passes (chunks are
-        independent and elementwise; the output does not depend on it).
+        |F_m(phi)| <= tol, and since F_m' >= 1 this bounds |phi - phi_m|
+        up to the rounding of F_m.
+    workers : number of threads for the chunked branch solves (each branch
+        is solved on its own; the output does not depend on it).
 
     Only the |V|//2 zeros in (0, pi) are solved; the rest are their mirror
     images and, for odd |V|, exactly pi.
@@ -372,11 +357,10 @@ def enumerate_zeros(
     n_zeros = zero_count(tree)
     if n_zeros > MAX_ZEROS:
         raise ValueError(f"{n_zeros} zeros exceed the enumeration cap of {MAX_ZEROS}")
-    phi, res, deriv = _map_chunks(
-        lambda *a: _solve_branches(*a, tree, t), _brackets(tree, t, workers), workers
-    )
+    m = np.arange(n_zeros // 2, dtype=np.int64)
+    phi, res = _map_chunks(lambda c: _solve_branches(c, tree, t), m, workers)
     res = np.abs(res)
-    bad = ~(res <= tol * deriv)
+    bad = ~(res <= tol)
     if np.any(bad):
         raise RuntimeError(f"{int(bad.sum())} branch solves exceeded the residual tolerance")
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley_ising.core import ModelParams, TAU, _lift, _lift_derivative, lift_eval
+from cayley_ising.core import ModelParams, TAU, lift_derivative, lift_eval
 from cayley_ising.spectra import (
     MmeEstimate,
     OutsideSupportError,
@@ -136,13 +136,14 @@ def test_preimages_property(k, t, phi, extra):
     pre = _preimages(targets, phi, t, k)
     assert pre.shape == (k * targets.size,)
     assert np.all((pre >= -math.pi) & (pre <= math.pi))
-    images = _lift(pre, phi, t, k)
+    p = ModelParams(k, t, phi)
+    images = lift_eval(pre, p)
     off = np.abs(np.remainder(images - np.tile(targets, k) + math.pi, TAU) - math.pi)
     # 64 ulp of the goal angle, plus one ulp of the preimage carried through
     # the lift's slope: near theta = pi that slope is k(1+t)/(1-t), so even a
     # correctly rounded preimage misses by half an ulp times it
     tol = 64.0 * np.spacing(k * math.pi + abs(phi) + math.pi)
-    tol = tol + _lift_derivative(pre, t, k) * np.spacing(np.abs(pre))
+    tol = tol + lift_derivative(pre, p) * np.spacing(np.abs(pre))
     assert np.all(off <= tol)
     branches = np.sort(pre.reshape(k, targets.size), axis=0)
     assert np.all(np.diff(branches, axis=0) > 0.0)

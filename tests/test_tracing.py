@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 
 from cayley_ising.measure import EmpiricalMeasure
-from cayley_ising.zeros import TreeSpec, enumerate_zeros
+from cayley_ising import zeros
+from cayley_ising.zeros import TreeSpec
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
@@ -27,15 +28,16 @@ def test_tracer_installs_and_restores_every_hook():
 
 
 def test_traced_enumeration_and_counts_reach_the_lift():
-    # the per-layer lift metrics are read off the wrapped zeros.iterated_lift;
-    # a kernel reached around that name would leave them at 0
+    # the per-layer metrics are read off the wrapped names, looked up at call
+    # time: enumeration solves by pullback and makes no lift pass, so every
+    # lift point-level comes from the 16 counted angles
     tree = TreeSpec("rooted", 6, 2)
     tracer = Tracer()
     tracer.install()
     try:
-        enumerate_zeros(tree, 0.5)
+        zeros.enumerate_zeros(tree, 0.5)
         EmpiricalMeasure(tree, 0.5).counts(np.linspace(-3.0, 3.0, 16))
     finally:
         tracer.remove()
-    assert tracer.counts["zeros.lift_passes"] > 0
-    assert tracer.counts["zeros.lift_point_levels"] >= (tree.vertex_count - 1) * tree.level
+    assert tracer.counts["zeros.zeros_requested"] == tree.vertex_count
+    assert tracer.counts["zeros.lift_point_levels"] == 16 * tree.level

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cayley_ising.zeros as zeros_module
 from cayley_ising import verify
-from cayley_ising.core import TAU, ModelParams, lift_eval, phi_e
+from cayley_ising.core import TAU, ModelParams, lift_derivative, lift_eval, phi_e
 from cayley_ising.measure import EmpiricalMeasure
 from cayley_ising.zeros import (
     MAX_ZEROS,
@@ -166,8 +166,7 @@ def test_workers_deterministic():
 
 
 def test_workers_deterministic_across_chunks(monkeypatch):
-    # small chunks, so the grid pass and the branch solves both run on
-    # several threads
+    # small chunks, so the branch solves run on several threads
     monkeypatch.setattr(zeros_module, "_CHUNK", 256)
     tree = TreeSpec("rooted", 10, 2)
     a = enumerate_zeros(tree, 0.35, workers=1)
@@ -177,21 +176,22 @@ def test_workers_deterministic_across_chunks(monkeypatch):
 
 
 def test_workers_split_small_trees(monkeypatch):
-    # level 14 has 32766 interior grid nodes, one _CHUNK slice for one worker
+    # level 14 has 16383 branches to solve, one _CHUNK slice for one worker
     sizes = []
-    lift = zeros_module.iterated_lift
+    solve = zeros_module._solve_branches
 
-    def spy(phi, *args, **kwargs):
-        sizes.append(np.size(phi))
-        return lift(phi, *args, **kwargs)
+    def spy(m, *args, **kwargs):
+        sizes.append(np.size(m))
+        return solve(m, *args, **kwargs)
 
-    monkeypatch.setattr(zeros_module, "iterated_lift", spy)
+    monkeypatch.setattr(zeros_module, "_solve_branches", spy)
     tree = TreeSpec("rooted", 14, 2)
+    half = tree.vertex_count // 2
     a = enumerate_zeros(tree, 0.35, workers=1)
-    assert max(sizes) == tree.vertex_count - 1
+    assert max(sizes) == half
     sizes.clear()
     b = enumerate_zeros(tree, 0.35, workers=2)
-    assert max(sizes) == (tree.vertex_count - 1) // 2
+    assert max(sizes) == -(-half // 2)
     assert a.angles.tobytes() == b.angles.tobytes()
     assert a.residuals.tobytes() == b.residuals.tobytes()
 
@@ -320,6 +320,50 @@ def theta_form_lift(phi, tree: TreeSpec, t: float):
         psi = np.remainder(raw + math.pi, TAU) - math.pi
         wind = k * wind + np.rint((raw - psi) / TAU)
     return psi, wind
+
+
+_PI_LD = 4 * np.arctan(np.longdouble(1))
+
+
+def long_double_lift(phi, tree: TreeSpec, t: float):
+    """theta_form_lift in extended precision, with dG/dphi: phi is a
+    np.longdouble array, and the reduction uses pi to long-double precision."""
+    psi, wind, deriv = phi, np.zeros_like(phi), np.ones_like(phi)
+    for k in tree.steps:
+        p = ModelParams(k, t)
+        deriv = 1 + lift_derivative(psi, p) * deriv
+        raw = lift_eval(psi, p) + phi
+        turns = np.rint(raw / (2 * _PI_LD))
+        psi, wind = raw - 2 * _PI_LD * turns, k * wind + turns
+    return psi, wind, deriv
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="long double is float64 here"
+)
+@pytest.mark.parametrize(
+    "variant, level, k, t",
+    [("rooted", 7, 3, 0.95), ("full", 6, 3, 0.9), ("full", 5, 4, 0.8), ("rooted", 12, 2, 0.3)],
+)
+def test_angles_match_extended_precision(variant, level, k, t):
+    """Each positive angle lies within 4 ulp(pi) of the root of
+    G(phi) = pi + 2pi m found by Newton on the long-double forward lift."""
+    tree = TreeSpec(variant, level, k)
+    half = tree.vertex_count // 2
+    pos = enumerate_zeros(tree, t).angles[half : 2 * half]
+    m = np.arange(half)
+    ref = pos.astype(np.longdouble)
+    for _ in range(3):
+        psi, wind, deriv = long_double_lift(ref, tree, t)
+        ref = ref - ((psi - _PI_LD) + 2 * _PI_LD * (wind - m)) / deriv
+    assert float(np.max(np.abs(ref - pos))) <= 4 * math.ulp(math.pi)
+
+
+def test_residuals_are_radians():
+    """The residual |F_m(phi)| bounds the angle error; at high t it stays at
+    the rounding of the pullback."""
+    zs = enumerate_zeros(TreeSpec("rooted", 12, 2), 0.9)
+    assert zs.residuals.max() <= 1e-12
 
 
 @st.composite
