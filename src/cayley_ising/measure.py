@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import critical_temperature, write_csv
-from .zeros import TreeSpec, branch_count, enumerate_zeros, iterated_lift
+from .zeros import TreeSpec, branch_count, enumerate_zeros
 
 
 @dataclass
@@ -53,16 +53,6 @@ def empirical_cdf(phi, em: EmpiricalMeasure):
     counts = em.counts(phi)
     out = counts / em.total
     return float(out) if np.isscalar(phi) or np.asarray(phi).ndim == 0 else out
-
-
-def empirical_cdf_smooth(phi, em: EmpiricalMeasure):
-    """Continuum approximation (G(phi)-G(-pi))/(2pi N); faster than exact
-    counting only in the sense of avoiding the seam bookkeeping, exposed for
-    cross-checks of the counting path."""
-    psi, wind = iterated_lift(phi, em.tree, em.t)
-    psi0, wind0 = iterated_lift(np.array(-math.pi), em.tree, em.t)
-    g = (psi - psi0) + 2.0 * math.pi * (wind - wind0)
-    return g / (2.0 * math.pi * em.total)
 
 
 def interval_mass(a: float, b: float, em: EmpiricalMeasure):
@@ -117,6 +107,8 @@ def cdf_distance_rooted_full(k: int, n: int, t: float, grid: int = 10_000) -> fl
     """Sup-norm distance between the rooted and full level-n CDFs on a uniform grid."""
     if n < 1:
         raise ValueError("the full tree requires level >= 1")
+    if grid < 1:
+        raise ValueError(f"CDF grid needs at least one point, got {grid}")
     phis = np.linspace(-math.pi, math.pi, grid)
     em_r = EmpiricalMeasure(TreeSpec("rooted", n, k), t)
     em_f = EmpiricalMeasure(TreeSpec("full", n, k), t)

@@ -5,11 +5,13 @@ z^{|V|/2} t^{|E|/2} Z, so the z-exponent counts down spins and the
 t-exponent counts unsatisfied edges.  Conditioning on the root spin gives
 the pair recursion A' = (A + tB)^k, B' = z(tA + B)^k with A_0 = 1,
 B_0 = z; the full tree composes one final step with exponent k+1.  The
-brute-force path sums Gibbs weights over all 2^|V| spin configurations.
-Both are exact: with t = p/q the recursion runs on integers, each step
-one integer power of a polynomial packed into a single Python int, and
-the brute force applies the t-powers in rational arithmetic.  A float t
-is converted exactly, since every double is a dyadic rational.
+brute-force path sums Gibbs weights over all 2^|V| spin configurations,
+streamed in chunks of _CHUNK configurations, so its memory is
+O(_CHUNK |V|) whatever |V| is.  Both are exact: with t = p/q the
+recursion runs on integers, each step one integer power of a polynomial
+packed into a single Python int, and the brute force applies the t-powers
+in rational arithmetic.  A float t is converted exactly, since every
+double is a dyadic rational.
 
 The circle roots are found without rounding.  Lee-Yang puts every root
 on the unit circle, so for the palindromic integer polynomial of degree
@@ -33,13 +35,19 @@ from .zeros import TreeSpec
 MAX_BRUTEFORCE_VERTICES = 22
 MAX_RECURSION_VERTICES = 10_000
 MAX_ROOT_DEGREE = 4096
+# configurations per brute-force chunk: the chunk's per-vertex bit planes
+# stay in cache (2^16 measured fastest of 2^12..2^18 at |V| = 22)
+_CHUNK = 1 << 16
 
 
 def _exact_t(t) -> Fraction:
-    t = Fraction(t)
-    if not (0 <= t <= 1):
+    try:
+        exact = Fraction(t)
+    except (OverflowError, ValueError):  # +-inf and NaN have no integer ratio
+        exact = None
+    if exact is None or not (0 <= exact <= 1):
         raise ValueError(f"temperature variable t must lie in [0, 1], got {t}")
-    return t
+    return exact
 
 
 @dataclass(frozen=True)
@@ -99,9 +107,11 @@ def partition_poly_bruteforce(tree: TreeSpec, t) -> PartitionPolynomial:
     """Sum over all 2^|V| spin configurations (guarded at |V| <= 22).
 
     Every configuration contributes t^{unsatisfied edges} to the
-    coefficient of z^{down spins}; the double histogram over
-    (down spins, unsatisfied edges) is accumulated vectorized and the
-    t-powers applied exactly afterwards.
+    coefficient of z^{down spins}.  The double histogram over
+    (down spins, unsatisfied edges) is accumulated in one vectorized pass
+    over chunks of _CHUNK configurations, each read from its own bits, so
+    memory stays O(_CHUNK |V|) whatever |V| is; the t-powers are applied
+    exactly afterwards.
     """
     n_v = tree.vertex_count
     if n_v > MAX_BRUTEFORCE_VERTICES:
@@ -109,12 +119,16 @@ def partition_poly_bruteforce(tree: TreeSpec, t) -> PartitionPolynomial:
     t = _exact_t(t)
     edges = tree.edges()
     n_e = len(edges)
-    configs = np.arange(1 << n_v, dtype=np.uint64)
-    downs = np.bitwise_count(configs).astype(np.int64)
-    unsat = np.zeros(configs.shape, dtype=np.int64)
-    for a, b in edges:
-        unsat += ((configs >> np.uint64(a)) ^ (configs >> np.uint64(b))).astype(np.int64) & 1
-    hist = np.bincount(downs * (n_e + 1) + unsat, minlength=(n_v + 1) * (n_e + 1))
+    base = np.arange(min(_CHUNK, 1 << n_v), dtype=np.uint32)
+    hist = np.zeros((n_v + 1) * (n_e + 1), dtype=np.int64)
+    for start in range(0, 1 << n_v, base.size):
+        configs = base + np.uint32(start)
+        bits = [(configs >> np.uint32(v)).astype(np.uint8) & 1 for v in range(n_v)]
+        unsat = np.zeros(base.size, dtype=np.uint8)  # |E| <= 21 under the guard
+        for a, b in edges:
+            unsat += bits[a] ^ bits[b]
+        key = np.bitwise_count(configs).astype(np.int64) * (n_e + 1) + unsat
+        hist += np.bincount(key, minlength=hist.size)
     hist = hist.reshape(n_v + 1, n_e + 1)
 
     powers = [t**u for u in range(n_e + 1)]

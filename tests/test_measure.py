@@ -7,7 +7,6 @@ from cayley_ising.measure import (
     EmpiricalMeasure,
     cdf_distance_rooted_full,
     empirical_cdf,
-    empirical_cdf_smooth,
     histogram,
     interval_mass,
     max_gap,
@@ -52,11 +51,20 @@ def test_cdf_t0_uniform_staircase():
         assert empirical_cdf(phi, m) == pytest.approx((total // 2 + j) / total)
 
 
+def _empirical_cdf_smooth(phi, em: EmpiricalMeasure):
+    """Continuum approximation (G(phi)-G(-pi))/(2pi N), a cross-check of
+    the counting path."""
+    psi, wind = iterated_lift(phi, em.tree, em.t)
+    psi0, wind0 = iterated_lift(np.array(-math.pi), em.tree, em.t)
+    g = (psi - psi0) + 2.0 * math.pi * (wind - wind0)
+    return g / (2.0 * math.pi * em.total)
+
+
 def test_smooth_cdf_close_to_exact():
     m = em(n=9, t=0.45)
     phis = np.linspace(-math.pi, math.pi, 200)
     exact = empirical_cdf(phis, m)
-    smooth = empirical_cdf_smooth(phis, m)
+    smooth = _empirical_cdf_smooth(phis, m)
     assert np.max(np.abs(exact - smooth)) <= 2.0 / m.total
 
 
@@ -117,6 +125,9 @@ def test_density_trend_below_tc():
 def test_rooted_full_distance():
     assert cdf_distance_rooted_full(2, 6, 0.0, grid=500) <= 2.0 / 127.0
     assert cdf_distance_rooted_full(2, 10, 0.5, grid=2000) <= 0.01
+    for grid in (0, -1):
+        with pytest.raises(ValueError, match="grid"):
+            cdf_distance_rooted_full(2, 6, 0.5, grid=grid)
 
 
 def test_histogram_sums_to_one():

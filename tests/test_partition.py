@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -88,15 +89,31 @@ def test_float_path_matches_exact():
 
 def test_t_outside_unit_interval_rejected():
     tree = TreeSpec("rooted", 1, 2)
-    for t in (Fraction(-1, 5), Fraction(6, 5), -0.1, 1.5, 2):
+    for t in (Fraction(-1, 5), Fraction(6, 5), -0.1, 1.5, 2, float("inf"), float("-inf"), float("nan")):
         for route in (partition_poly_recursive, partition_poly_bruteforce):
             with pytest.raises(ValueError):
                 route(tree, t)
 
 
+def test_bruteforce_memory_is_bounded():
+    # |V| = 22, the guard's largest tree: 2^22 configurations in 64 chunks;
+    # one full-length int64 array of them alone would take 32 MB
+    tree = TreeSpec("rooted", 1, 21)
+    tracemalloc.start()
+    try:
+        bf = partition_poly_bruteforce(tree, Fraction(1, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert bf.coeffs == partition_poly_recursive(tree, Fraction(1, 5)).coeffs
+
+
 def test_size_guards():
     with pytest.raises(ValueError):
         partition_poly_bruteforce(TreeSpec("rooted", 4, 2), Fraction(1, 5))  # 31 vertices
+    with pytest.raises(ValueError):
+        partition_poly_bruteforce(TreeSpec("rooted", 1, 22), Fraction(1, 5))  # 23: first refused
     with pytest.raises(ValueError):
         partition_poly_recursive(TreeSpec("rooted", 14, 2), Fraction(1, 5))
 
