@@ -10,6 +10,7 @@ log-log slope in the crossing parameter y recovers the exponent.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,6 +40,11 @@ def temperature_of(t: float) -> float:
     return -2.0 / math.log(t)
 
 
+def _require_finite_z(z: complex) -> None:
+    if not cmath.isfinite(complex(z)):
+        raise ValueError(f"z must be finite, got {z}")
+
+
 @lru_cache(maxsize=16)
 def _cached_angles(variant: str, level: int, k: int, t: float):
     zs = enumerate_zeros(TreeSpec(variant, level, k), t)
@@ -49,6 +55,7 @@ def free_energy_electrostatic(
     z: complex, t: float, k: int, n: int, variant: str = "rooted"
 ) -> float:
     """-2T * mean(log|z - zeta_i|) + T(log|z| + log t), edge/vertex ratio 1."""
+    _require_finite_z(z)
     temp = temperature_of(t)
     if z == 0:
         raise ValueError("z = 0 is a pole of the log|z| term")
@@ -68,6 +75,7 @@ def free_energy_recursive(z: complex, t: float, k: int, n: int, variant: str = "
     electrostatic route up to the finite-size T*log(t)/|V| edge-count
     correction (the electrostatic form fixes the edge/vertex ratio to 1).
     """
+    _require_finite_z(z)
     temp = temperature_of(t)
     if z == 0:
         raise ValueError("z = 0 is a pole of the field term")
@@ -91,6 +99,7 @@ def free_energy_recursive(z: complex, t: float, k: int, n: int, variant: str = "
 
 def magnetization(z: complex, t: float, k: int, n: int, variant: str = "rooted") -> complex:
     """M(z) = -4z * mean(1/(z - zeta_i)) + 2; defined off the zero support."""
+    _require_finite_z(z)
     if z == 0:
         return complex(2.0)
     atoms = _cached_angles(variant, n, k, t)
@@ -125,29 +134,28 @@ class SingularFit:
 
 def order_from_kappa(kappa_hat: float) -> int:
     """Largest integer m with 2m < kappa (so 2m < kappa <= 2m+2)."""
-    if kappa_hat <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa_hat}")
+    if not (math.isfinite(kappa_hat) and kappa_hat > 0):
+        raise ValueError(f"kappa must be finite and positive, got {kappa_hat}")
     return max(math.ceil(kappa_hat / 2.0) - 1, 0)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def singular_part(
-    y: float, phi: float, t: float, k: int, m: int, em: EmpiricalMeasure, delta0: float
-) -> float:
-    """|h_sing(y)| = int_0^delta0 Phi(zeta)/(zeta^{2m+1}(zeta^2+y^2)) y^{2m+2} dzeta,
-    with Phi the symmetric mass of [phi-zeta, phi+zeta].
+def _require_positive(name: str, values) -> None:
+    """ValueError unless every entry of values is finite and positive."""
+    values = np.asarray(values, dtype=float)
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if bad.any():
+        raise ValueError(f"{name} must be finite and positive, got {values[bad].flat[0]}")
 
-    Composite Gauss-Legendre on log-spaced panels split at the zeta = y
-    crossover; all mass queries for one y are evaluated in a single
-    vectorized pass.  Below zeta = y*2^-14 the integrand contributes
-    O((2^-14)^(kappa-2m)) relatively and is dropped.
-    """
+
+def _panels(y: float, delta0: float):
+    """Gauss-Legendre nodes and weights on (y*2^-14, delta0] for one y: log-spaced
+    panels, two per octave, with an exact break at zeta = y."""
     a = y * 2.0**-14
     if a >= delta0:
         raise ValueError(f"y={y} is too large for the cutoff delta0={delta0}")
-    # panel edges: two per octave, with an exact break at zeta = y
     n_panels = max(int(math.ceil(2.0 * math.log2(delta0 / a))), 4)
     edges = np.exp(np.linspace(math.log(a), math.log(delta0), n_panels + 1))
     if a < y < delta0:
@@ -156,9 +164,33 @@ def singular_part(
     half = 0.5 * (edges[1:] - edges[:-1])
     zetas = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    mass = symmetric_mass(phi, zetas, em)
-    integrand = mass * y ** (2 * m + 2) / (zetas ** (2 * m + 1) * (zetas * zetas + y * y))
-    return float(np.dot(weights, integrand))
+    return zetas, weights
+
+
+def singular_part(y, phi: float, t: float, k: int, m: int, em: EmpiricalMeasure, delta0: float):
+    """|h_sing(y)| = int_0^delta0 Phi(zeta)/(zeta^{2m+1}(zeta^2+y^2)) y^{2m+2} dzeta,
+    with Phi the symmetric mass of [phi-zeta, phi+zeta], for scalar or array y
+    (a float for scalar y, an array otherwise).
+
+    Composite Gauss-Legendre on log-spaced panels split at the zeta = y
+    crossover; the mass queries of all y share one vectorized pass.  Below
+    zeta = y*2^-14 the integrand contributes O((2^-14)^(kappa-2m))
+    relatively and is dropped.  Every y and delta0 must be finite and
+    positive, else ValueError.
+    """
+    _require_positive("delta0", delta0)
+    _require_positive("y", y)
+    y_list = np.asarray(y, dtype=float).ravel().tolist()
+    panels = [_panels(yj, delta0) for yj in y_list]
+    masses = np.split(
+        symmetric_mass(phi, np.concatenate([zetas for zetas, _ in panels]), em),
+        np.cumsum([len(zetas) for zetas, _ in panels])[:-1],
+    )
+    h = np.array([
+        np.dot(weights, mass * yj ** (2 * m + 2) / (zetas ** (2 * m + 1) * (zetas * zetas + yj * yj)))
+        for yj, (zetas, weights), mass in zip(y_list, panels, masses)
+    ])
+    return float(h[0]) if np.ndim(y) == 0 else h.reshape(np.shape(y))
 
 
 def singular_exponent(
@@ -180,11 +212,23 @@ def singular_exponent(
     n : tree level backing the empirical measure.
     delta0 : outer cutoff of the potential integral.
     ys : crossing distances; defaults to delta0 * 2^-j over the window that
-        the level-n resolution supports.
+        the level-n resolution supports.  An explicit grid needs at least
+        three distinct values, all finite and positive.
     m, kappa_prior : the subtraction order; if m is omitted it is derived
         from kappa_prior, itself defaulting to the pointwise-dimension
         estimate at the same parameters.
+
+    All |h_sing(y)| of the grid come from one `singular_part` call, so a fit
+    makes at most three `counts` calls: the prior, the resolution probe and
+    the quadrature panels.
     """
+    _require_positive("delta0", delta0)
+    if ys is not None:
+        ys = np.asarray(ys, dtype=float).ravel()
+        _require_positive("y", ys)
+        distinct = len(np.unique(ys))
+        if distinct < 3:
+            raise ValueError(f"fewer than three usable scales: the y grid has {distinct} distinct values")
     em = EmpiricalMeasure(TreeSpec(variant, n, k), t)
     if m is None:
         if kappa_prior is None:
@@ -208,8 +252,8 @@ def singular_exponent(
             )
         n_points = int(math.floor(2.0 * math.log2(y_coarse / y_fine))) + 1
         ys = y_coarse * 0.5 ** (0.5 * np.arange(n_points))
-    ys = np.asarray(sorted(np.asarray(ys, dtype=float)), dtype=float)
-    h_vals = np.array([singular_part(float(y), phi, t, k, m, em, delta0) for y in ys])
+    ys = np.sort(ys)
+    h_vals = singular_part(ys, phi, t, k, m, em, delta0)
     if np.any(h_vals <= 0.0):
         raise ValueError("singular part vanished on the y grid; enlarge delta0 or the level")
     slope, r2, fitted = log_log_fit(ys, h_vals)

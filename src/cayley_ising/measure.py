@@ -68,7 +68,8 @@ def interval_mass(a: float, b: float, em: EmpiricalMeasure):
 
 
 def symmetric_mass(phi: float, zeta, em: EmpiricalMeasure):
-    """Mass of [phi-zeta, phi+zeta] clipped to the period, vectorized in zeta.
+    """Mass of [phi-zeta, phi+zeta] clipped to the period, vectorized in zeta
+    (any shape): one counts call, which lifts each distinct end angle once.
 
     phi must be finite and zeta free of NaN (zeta = inf is the whole period);
     otherwise ValueError."""
@@ -79,7 +80,10 @@ def symmetric_mass(phi: float, zeta, em: EmpiricalMeasure):
         raise ValueError("symmetric_mass got zeta = nan; radii must not be NaN")
     lo = np.clip(phi - zeta, -math.pi, math.pi)
     hi = np.clip(phi + zeta, -math.pi, math.pi)
-    counts_hi, counts_lo = em.counts(np.stack([hi, lo]))
+    # nested radii (a quadrature's panels for several y, radii past the
+    # seam) repeat angles once rounded: count each distinct angle once
+    angles, where = np.unique(np.concatenate([hi.ravel(), lo.ravel()]), return_inverse=True)
+    counts_hi, counts_lo = em.counts(angles)[where].reshape((2,) + zeta.shape)
     out = (counts_hi - counts_lo) / em.total
     return float(out) if out.ndim == 0 else out
 

@@ -257,8 +257,14 @@ def pointwise_dimension(
     Scales are dyadic, d_j = coarsest * 2^-j.  The coarsest scale is capped
     so the window stays inside the zero support (and inside the principal
     branch); the finest is raised until it still holds at least min_atoms
-    zeros, warning if that truncates the requested range.
+    zeros, warning if that truncates the requested range.  An explicit
+    coarsest must be finite and positive and octaves at least 2 (three
+    scales), else ValueError.
     """
+    if coarsest is not None and not (math.isfinite(coarsest) and coarsest > 0):
+        raise ValueError(f"coarsest scale must be finite and positive, got {coarsest}")
+    if octaves < 2:
+        raise ValueError(f"fewer than three usable scales: octaves = {octaves}, need at least 2")
     em = EmpiricalMeasure(TreeSpec(variant, level, k), t)
     room = math.pi - abs(phi)
     if t > critical_temperature(k):

@@ -143,6 +143,14 @@ def test_free_energy_radial(tmp_path):
     assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
 
 
+def test_free_energy_singular_refuses_zero_delta0(tmp_path, capsys):
+    out = tmp_path / "hsing.csv"
+    assert run(["free-energy", "--k", 2, "--t", "0.2", "--n", 12, "--phi", "0.0",
+                "--mode", "singular", "--delta0", 0, "--out", out]) == 1
+    assert "delta0 must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_singular_example(tmp_path, capsys):
     out = tmp_path / "hsing.csv"
     assert run(["free-energy", "--k", 2, "--t", "0.2", "--n", 36, "--phi", "0.0",

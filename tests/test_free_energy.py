@@ -20,6 +20,20 @@ from cayley_ising.measure import EmpiricalMeasure, interval_mass
 from cayley_ising.zeros import TreeSpec, enumerate_zeros
 
 
+@pytest.fixture
+def counts_calls(monkeypatch):
+    """Sizes of the EmpiricalMeasure.counts calls made while the test runs."""
+    sizes = []
+    counts = EmpiricalMeasure.counts
+
+    def counted(self, phi):
+        sizes.append(np.size(phi))
+        return counts(self, phi)
+
+    monkeypatch.setattr(EmpiricalMeasure, "counts", counted)
+    return sizes
+
+
 def test_temperature_convention():
     assert temperature_of(math.exp(-2.0)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
@@ -104,6 +118,19 @@ def test_order_from_kappa():
         order_from_kappa(0.0)
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_order_from_kappa_refuses_non_finite(kappa):
+    with pytest.raises(ValueError, match="finite and positive"):
+        order_from_kappa(kappa)
+
+
+@pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(0.5, math.nan), math.inf])
+def test_free_energy_refuses_non_finite_z(z):
+    for route in (free_energy_electrostatic, free_energy_recursive, magnetization):
+        with pytest.raises(ValueError, match="z must be finite"):
+            route(z, 0.5, 2, 6)
+
+
 def test_singular_part_matches_lebesgue_closed_form():
     # at t=0 the measure is uniform, Phi(z) ~ z/pi, and for m=0 the integral
     # is (y/pi) arctan(delta0/y) exactly
@@ -114,6 +141,58 @@ def test_singular_part_matches_lebesgue_closed_form():
         expected = (y / math.pi) * math.atan(delta0 / y)
         # the staircase of ~5e5 atoms deviates from the continuum at ~1/(N Phi)
         assert got == pytest.approx(expected, rel=1e-3)
+
+
+@pytest.mark.parametrize("phi, t, m, delta0, ys", [
+    (0.9, 0.0, 0, 0.5, 0.5 * 2.0 ** -np.arange(7.0, 10.5, 0.5)),
+    (0.0, 0.2, 1, 1.2, 1.2 * 2.0 ** -np.arange(3.3, 5.8, 0.4)),
+])
+def test_singular_part_array_equals_scalar_calls(phi, t, m, delta0, ys, counts_calls):
+    # the criterion-10 grids: one batched call gives the scalar calls' bits
+    em = EmpiricalMeasure(TreeSpec("rooted", 20, 2), t)
+    batched = singular_part(ys, phi, t, 2, m, em, delta0)
+    assert len(counts_calls) == 1
+    single = [singular_part(float(y), phi, t, 2, m, em, delta0) for y in ys]
+    assert all(isinstance(h, float) for h in single)
+    assert np.array_equal(batched, single)
+
+
+def test_singular_exponent_counts_calls(counts_calls):
+    ys = 0.5 * 2.0 ** -np.arange(7.0, 10.5, 0.5)
+    singular_exponent(0.9, 0.0, 2, n=18, kappa_prior=1.0, delta0=0.5, ys=ys)
+    assert len(counts_calls) == 1
+    counts_calls.clear()
+    singular_exponent(0.9, 0.01, 2, n=18)
+    assert len(counts_calls) <= 3
+
+
+@pytest.mark.parametrize("y", [0.0, -0.01, math.nan, math.inf])
+def test_singular_part_refuses_bad_y(y, counts_calls):
+    em = EmpiricalMeasure(TreeSpec("rooted", 10, 2), 0.2)
+    with pytest.raises(ValueError, match="y must be finite and positive"):
+        singular_part(y, 0.0, 0.2, 2, 0, em, 0.5)
+    with pytest.raises(ValueError, match="y must be finite and positive"):
+        singular_part(np.array([0.01, y]), 0.0, 0.2, 2, 0, em, 0.5)
+    with pytest.raises(ValueError, match="y must be finite and positive"):
+        singular_exponent(0.0, 0.2, 2, n=10, ys=[0.01, 0.02, y])
+    assert counts_calls == []
+
+
+@pytest.mark.parametrize("delta0", [0.0, -1.0, math.nan, math.inf])
+def test_singular_fit_refuses_bad_delta0(delta0, counts_calls):
+    em = EmpiricalMeasure(TreeSpec("rooted", 10, 2), 0.2)
+    with pytest.raises(ValueError, match="delta0 must be finite and positive"):
+        singular_part(0.01, 0.0, 0.2, 2, 0, em, delta0)
+    with pytest.raises(ValueError, match="delta0 must be finite and positive"):
+        singular_exponent(0.0, 0.2, 2, n=10, delta0=delta0)
+    assert counts_calls == []
+
+
+@pytest.mark.parametrize("ys", [[], [0.01], [0.01, 0.02], [0.01, 0.02, 0.02, 0.01]])
+def test_singular_exponent_needs_three_distinct_ys(ys, counts_calls):
+    with pytest.raises(ValueError, match="fewer than three usable scales"):
+        singular_exponent(0.9, 0.0, 2, n=10, kappa_prior=1.0, ys=ys)
+    assert counts_calls == []
 
 
 def test_singular_exponent_lebesgue_slope():

@@ -102,6 +102,28 @@ def test_symmetric_mass_vectorized():
     assert symmetric_mass(1.0, 0.5, m) == pytest.approx(masses[1])
 
 
+def test_symmetric_mass_counts_each_angle_once(monkeypatch):
+    # repeated radii, radii clipped at the seam and a 2-D shape: one counts
+    # call on distinct angles, same masses as the elementwise definition
+    m = em(n=12, t=0.3)
+    zetas = np.array([[0.2, 0.4, 0.2], [3.0, 4.0, 0.4]])
+    expected = (m.counts(np.clip(2.0 + zetas, -math.pi, math.pi))
+                - m.counts(np.clip(2.0 - zetas, -math.pi, math.pi))) / m.total
+    queried = []
+    counts = EmpiricalMeasure.counts
+
+    def recorded(self, phi):
+        queried.append(np.asarray(phi))
+        return counts(self, phi)
+
+    monkeypatch.setattr(EmpiricalMeasure, "counts", recorded)
+    masses = symmetric_mass(2.0, zetas, m)
+    assert len(queried) == 1
+    assert len(np.unique(queried[0])) == queried[0].size == 7  # 12 queries, 7 angles
+    assert masses.shape == zetas.shape
+    assert np.array_equal(masses, expected)
+
+
 def test_max_gap_uniform():
     m = em(n=3, t=0.0)
     assert max_gap(m) == pytest.approx(2.0 * math.pi / m.total, abs=1e-12)

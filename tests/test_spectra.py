@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayley_ising.core import ModelParams, TAU, lift_derivative, lift_eval
+from cayley_ising.measure import EmpiricalMeasure
 from cayley_ising.spectra import (
     MmeEstimate,
     OutsideSupportError,
@@ -183,6 +185,22 @@ def test_pointwise_dimension_lebesgue():
 def test_pointwise_dimension_insufficient_scales():
     with pytest.raises(ValueError):
         pointwise_dimension(0.9, 0.0, 2, level=4, min_atoms=50, octaves=5)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"coarsest": 0.0}, {"coarsest": -0.1}, {"coarsest": math.nan}, {"coarsest": math.inf},
+    {"octaves": 1}, {"octaves": 0},
+])
+def test_pointwise_dimension_checks_inputs_first(kwargs, monkeypatch):
+    # refused up front: no counts query, no scale-shrink warning
+    def no_counts(self, phi):
+        raise AssertionError("counts queried before the inputs were checked")
+
+    monkeypatch.setattr(EmpiricalMeasure, "counts", no_counts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coarsest|octaves"):
+            pointwise_dimension(0.9, 0.0, 2, level=18, **kwargs)
 
 
 def test_pointwise_dimension_gap_rejection():
