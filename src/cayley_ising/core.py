@@ -134,13 +134,22 @@ class FixedPointSet:
         return inside[0] if inside else None
 
 
-def _fixed_point_poly(z: complex, t: float, k: int) -> np.ndarray:
-    """Ascending coefficients of P(w) = z(w+t)^k - w(1+wt)^k."""
-    c = np.zeros(k + 2, dtype=complex)
+def _fixed_point_poly(z, t: float, k: int) -> np.ndarray:
+    """Ascending coefficients of P(w) = z(w+t)^k - w(1+wt)^k, one row per field z."""
+    z = np.asarray(z, dtype=complex)
+    c = np.zeros((z.size, k + 2), dtype=complex)
     for j in range(k + 1):
-        c[j] += z * math.comb(k, j) * t ** (k - j)
-        c[j + 1] -= math.comb(k, j) * t**j
+        c[:, j] += z * math.comb(k, j) * t ** (k - j)
+        c[:, j + 1] -= math.comb(k, j) * t**j
     return c
+
+
+def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise np.polyval: row i of desc (descending) at every x[i, :]."""
+    y = np.zeros_like(x)
+    for j in range(desc.shape[1]):
+        y = y * x + desc[:, j : j + 1]
+    return y
 
 
 def map_derivative(w: complex, p: ModelParams) -> complex:
@@ -149,37 +158,69 @@ def map_derivative(w: complex, p: ModelParams) -> complex:
     return p.z * k * (w + t) ** (k - 1) * (1.0 - t * t) / (1.0 + w * t) ** (k + 1)
 
 
+def _location(w: complex) -> str:
+    r = abs(w)
+    if abs(r - 1.0) < CIRCLE_BAND:
+        return "circle"
+    return "disk" if r < 1.0 else "exterior"
+
+
+def _sorted_roots(t: float, k: int, zs) -> tuple[list[list[complex]], bool]:
+    """Roots of P(w) for every field z of a list, sorted by (|w|, arg) per row.
+
+    One companion matrix per field, all stacked into one np.linalg.eigvals
+    call, then four Newton steps by row-wise Horner: each row is what
+    np.roots and np.polyval give for that field alone.  At t=0 the degree
+    drops from k+1 to k and the constant term vanishes with the leading one,
+    so w = 0 is appended after the companion roots, as np.roots does; the
+    flag returned says so.
+    """
+    coeffs = _fixed_point_poly(zs, t, k)
+    # the leading coefficient -t^k and the constant z t^k vanish together,
+    # in every row at once
+    dropped = bool(t**k == 0.0)
+    trimmed = coeffs[:, : k + 1] if dropped else coeffs
+    desc = (trimmed[:, 1:] if dropped else trimmed)[:, ::-1]
+    n, m = desc.shape[0], desc.shape[1] - 1
+    companion = np.zeros((n, m, m), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(m - 1)
+    companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+    roots = np.linalg.eigvals(companion)
+    if dropped:
+        roots = np.hstack((roots, np.zeros((n, 1), dtype=complex)))
+
+    dcoeffs = trimmed[:, 1:] * np.arange(1, trimmed.shape[1])
+    for _ in range(4):  # Newton polish; companion eigenvalues are close already
+        pv = _horner(trimmed[:, ::-1], roots)
+        dv = _horner(dcoeffs[:, ::-1], roots)
+        safe = np.abs(dv) > 1e-30
+        roots = np.where(safe, roots - pv / np.where(safe, dv, 1.0), roots)
+
+    rows = roots.tolist()
+    for row in rows:
+        row.sort(key=lambda r: (abs(r), math.atan2(r.imag, r.real)))
+    return rows, dropped
+
+
 def fixed_points(p: ModelParams) -> FixedPointSet:
-    """All fixed points of the map, companion-matrix roots polished by Newton.
+    """All fixed points of the map: the one-field case of the batched root
+    solve that disk_fixed_points runs over a whole grid.
 
     At t=0 the polynomial degree drops from k+1 to k (the exterior fixed
     point is at infinity); the returned set is flagged accordingly.
     """
-    z, t, k = p.z, p.t, p.k
-    coeffs = _fixed_point_poly(z, t, k)
-    dropped = coeffs[-1] == 0
-    trimmed = coeffs[: k + 1] if dropped else coeffs
-    roots = np.roots(trimmed[::-1])
+    (row,), dropped = _sorted_roots(p.t, p.k, [p.z])
+    pts = tuple(FixedPoint(w, _location(w), complex(map_derivative(w, p))) for w in row)
+    return FixedPointSet(p, pts, degree_dropped=dropped)
 
-    dcoeffs = trimmed[1:] * np.arange(1, len(trimmed))
-    for _ in range(4):  # Newton polish; companion eigenvalues are close already
-        pv = np.polyval(trimmed[::-1], roots)
-        dv = np.polyval(dcoeffs[::-1], roots)
-        safe = np.abs(dv) > 1e-30
-        roots = np.where(safe, roots - pv / np.where(safe, dv, 1.0), roots)
 
-    pts = []
-    for w in sorted(roots, key=lambda r: (abs(r), math.atan2(r.imag, r.real))):
-        w = complex(w)
-        r = abs(w)
-        if abs(r - 1.0) < CIRCLE_BAND:
-            loc = "circle"
-        elif r < 1.0:
-            loc = "disk"
-        else:
-            loc = "exterior"
-        pts.append(FixedPoint(w, loc, complex(map_derivative(w, p))))
-    return FixedPointSet(p, tuple(pts), degree_dropped=bool(dropped))
+def disk_fixed_points(t: float, k: int, phis) -> list[complex | None]:
+    """The disk fixed point at every field angle, or None where there is none:
+    fixed_points(ModelParams(k, t, phi)).disk_root() bit for bit, from one
+    batched root solve."""
+    zs = [ModelParams(k, t, float(phi)).z for phi in phis]
+    rows, _ = _sorted_roots(t, k, zs)
+    return [next((w for w in row if _location(w) == "disk"), None) for row in rows]
 
 
 def critical_temperature(k: int) -> float:

@@ -27,6 +27,7 @@ from .core import (
     TAU,
     ModelParams,
     critical_temperature,
+    disk_fixed_points,
     fixed_points,
     interior_support,
     inverse_moebius_lift,
@@ -61,11 +62,15 @@ def disk_fixed_point(p: ModelParams) -> complex:
     _require_interior(p.phi, p.t, p.k)
     root = fixed_points(p).disk_root()
     if root is None:
-        raise OutsideSupportError(
-            f"no disk fixed point found at (phi={p.phi}, t={p.t}); parameters "
-            "are too close to the gap-edge curve"
-        )
+        raise _no_disk_root(p.phi, p.t)
     return root.value
+
+
+def _no_disk_root(phi: float, t: float) -> OutsideSupportError:
+    return OutsideSupportError(
+        f"no disk fixed point found at (phi={phi}, t={t}); parameters "
+        "are too close to the gap-edge curve"
+    )
 
 
 def lyapunov_acim_closed(p: ModelParams) -> float:
@@ -110,14 +115,22 @@ def birkhoff_exponents(
 ):
     """Batched Birkhoff averages of log lift' from uniform random starts.
 
-    phis and ts broadcast together; one orbit per (parameter, seed) pair.
-    Each orbit runs on w = e^{i theta} by w <- z((w+t)/(1+tw))^k and is put
-    back on |w| = 1 after every step, because the circle repels radially.
-    Since log lift' = log k(1-t^2) - 2 log|1+tw|, the orbit keeps the running
-    product of 1+tw and takes the log of its modulus once per _LOG_BLOCK
-    steps; each factor has modulus in [1-t, 1+t], so a block cannot
-    underflow.  Returns (means, stderrs) with the standard error taken
-    across seeds.
+    phis is a scalar or 1-D, and ts broadcasts to its shape; one orbit per
+    (parameter, seed) pair.  Each orbit runs on w = e^{i theta} by
+    w <- z((w+t)/(1+tw))^k and is put back on |w| = 1 after every step,
+    because the circle repels radially.  Since
+    log lift' = log k(1-t^2) - 2 log|1+tw|, each step writes its 1+tw into
+    one row of a (_LOG_BLOCK, chains) buffer, and the log of the modulus of
+    the buffer's product (one left-to-right multiply.reduce) is taken once
+    per block; each factor has modulus in [1-t, 1+t], so a block cannot
+    underflow.  All chains sit in flat arrays and every operand is complex,
+    ones and the modulus included, so no ufunc call casts.  Returns
+    (means, stderrs) with the standard error taken across seeds.
+
+    Bad input raises ValueError before any stepping: a step count, burn-in
+    or seed count out of range, phis with more than one dimension, ts that
+    does not broadcast to phis, no parameters at all, or an angle that is
+    not finite.
     """
     if n_steps < 1 or burn_in < 0 or n_seeds < 2:
         raise ValueError(
@@ -125,36 +138,56 @@ def birkhoff_exponents(
             f"seeds), got {n_steps}, {burn_in} and {n_seeds}"
         )
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    ts = np.broadcast_to(np.asarray(ts, dtype=float), phis.shape).astype(float)
+    ts = np.asarray(ts, dtype=float)
+    if phis.ndim > 1:
+        raise ValueError(f"phis must be a scalar or 1-D, got shape {phis.shape}")
+    try:
+        ts = np.broadcast_to(ts, phis.shape).astype(float)
+    except ValueError:
+        raise ValueError(
+            f"ts of shape {ts.shape} does not broadcast to phis of shape {phis.shape}"
+        ) from None
+    if phis.size == 0:
+        raise ValueError("no parameters: phis is empty")
+    if not np.all(np.isfinite(phis)):
+        raise ValueError(f"field angles must be finite, got {phis[~np.isfinite(phis)][0]}")
     for ph, tv in zip(phis, ts):
         _require_interior(ph, tv, k)
     rng = np.random.default_rng(seed)
-    w = np.exp(1j * rng.uniform(-math.pi, math.pi, size=(len(phis), n_seeds)))
-    # full-shape complex operands keep every ufunc on its unbuffered loop
-    t_full = np.broadcast_to(ts[:, None], w.shape).astype(complex)
-    z = np.broadcast_to(np.exp(1j * phis)[:, None], w.shape).copy()
-    den = np.empty_like(w)
+    shape = (len(phis), n_seeds)
+    w = np.exp(1j * rng.uniform(-math.pi, math.pi, size=shape)).ravel()
+    t_full = np.repeat(ts, n_seeds).astype(complex)
+    z = np.repeat(np.exp(1j * phis), n_seeds)
+    one = np.ones_like(w)
     mob = np.empty_like(w)
-    mod = np.empty(w.shape)
-    prod = np.ones_like(w)
-    log_sum = np.zeros(w.shape)
-    for step in range(burn_in + n_steps):
-        np.multiply(w, t_full, out=den)
-        den += 1.0
-        if step >= burn_in:
-            prod *= den
-            if (step - burn_in) % _LOG_BLOCK == _LOG_BLOCK - 1:
-                log_sum += np.log(np.abs(prod))
-                prod.fill(1.0)
-        np.add(w, t_full, out=mob)
-        mob /= den
-        np.multiply(mob, z, out=w)
-        for _ in range(k - 1):
-            w *= mob
-        np.abs(w, out=mod)
-        w /= mod
-    log_sum += np.log(np.abs(prod))
-    per_seed = np.log(k * (1.0 - ts * ts))[:, None] - 2.0 * log_sum / n_steps
+    mod = np.zeros_like(w)
+    mod_re = mod.real
+    dens = np.empty((_LOG_BLOCK, w.size), dtype=complex)
+    log_sum = np.zeros(w.size)
+    # a ufunc call costs about 1 us against tens of ns of arithmetic on a few
+    # hundred chains: bound names and positional outputs trim that cost
+    mul, add, div, absolute = np.multiply, np.add, np.divide, np.abs
+    powers = range(k - 1)
+
+    def step(den):
+        mul(w, t_full, den)
+        add(den, one, den)
+        add(w, t_full, mob)
+        div(mob, den, mob)
+        mul(mob, z, w)
+        for _ in powers:
+            mul(w, mob, w)
+        absolute(w, mod_re)
+        div(w, mod, w)
+
+    for _ in range(burn_in):
+        step(dens[0])
+    for start in range(0, n_steps, _LOG_BLOCK):
+        block = dens[: min(_LOG_BLOCK, n_steps - start)]
+        for den in block:
+            step(den)
+        log_sum += np.log(np.abs(np.multiply.reduce(block, axis=0)))
+    per_seed = np.log(k * (1.0 - ts * ts))[:, None] - 2.0 * log_sum.reshape(shape) / n_steps
     means = per_seed.mean(axis=1)
     stderrs = per_seed.std(axis=1, ddof=1) / math.sqrt(n_seeds)
     return means, stderrs
@@ -382,16 +415,23 @@ class KappaPoint:
 def kappa_curve(t: float, k: int, phis) -> list[KappaPoint]:
     """Per-angle disk fixed point, closed-form chi, and kappa = log k / chi.
 
-    Angles inside the zero-free arc are emitted with a no-support marker
-    instead of being dropped, so grids stay aligned for plotting.
+    The disk fixed points of all in-support angles come from one batched
+    root solve (core.disk_fixed_points), bit for bit what disk_fixed_point
+    gives angle by angle.  Angles inside the zero-free arc are emitted with
+    a no-support marker instead of being dropped, so grids stay aligned for
+    plotting.
     """
+    phis = [float(phi) for phi in np.atleast_1d(np.asarray(phis, dtype=float))]
+    support = [interior_support(phi, t, k) for phi in phis]
+    disk = iter(disk_fixed_points(t, k, [phi for phi, s in zip(phis, support) if s]))
     out = []
-    for phi in np.atleast_1d(np.asarray(phis, dtype=float)):
-        phi = float(phi)
-        if not interior_support(phi, t, k):
+    for phi, inside in zip(phis, support):
+        if not inside:
             out.append(KappaPoint(phi, None, math.nan, math.nan, False))
             continue
-        w = disk_fixed_point(ModelParams(k, t, phi))
+        w = next(disk)
+        if w is None:
+            raise _no_disk_root(phi, t)
         chi = _chi_acim(w, t, k)
         out.append(KappaPoint(phi, w, chi, math.log(k) / chi, True))
     return out

@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -6,11 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley_ising.core import ModelParams, TAU, lift_derivative, lift_eval
+from cayley_ising.core import (
+    TAU,
+    ModelParams,
+    critical_temperature,
+    interior_support,
+    lift_derivative,
+    lift_eval,
+    phi_e,
+)
 from cayley_ising.measure import EmpiricalMeasure
 from cayley_ising.spectra import (
     MmeEstimate,
     OutsideSupportError,
+    _chi_acim,
     _preimages,
     birkhoff_exponents,
     disk_fixed_point,
@@ -114,6 +124,83 @@ def test_spectra_estimators_refuse_empty_samples(call):
     # no level or one level (no spread)
     with pytest.raises(ValueError):
         call()
+
+
+def _reference_birkhoff(phis, ts, k, n_steps, burn_in, n_seeds, seed):
+    """The plain per-step loop: a running product of 1+tw, logged and reset
+    every 16 steps.  The blocked kernel must reproduce it bit for bit."""
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    ts = np.broadcast_to(np.asarray(ts, dtype=float), phis.shape).astype(float)
+    rng = np.random.default_rng(seed)
+    w = np.exp(1j * rng.uniform(-math.pi, math.pi, size=(len(phis), n_seeds)))
+    t_full = np.broadcast_to(ts[:, None], w.shape).astype(complex)
+    z = np.broadcast_to(np.exp(1j * phis)[:, None], w.shape).copy()
+    den, mob, mod = np.empty_like(w), np.empty_like(w), np.empty(w.shape)
+    prod, log_sum = np.ones_like(w), np.zeros(w.shape)
+    for step in range(burn_in + n_steps):
+        np.multiply(w, t_full, out=den)
+        den += 1.0
+        if step >= burn_in:
+            prod *= den
+            if (step - burn_in) % 16 == 15:
+                log_sum += np.log(np.abs(prod))
+                prod.fill(1.0)
+        np.add(w, t_full, out=mob)
+        mob /= den
+        np.multiply(mob, z, out=w)
+        for _ in range(k - 1):
+            w *= mob
+        np.abs(w, out=mod)
+        w /= mod
+    log_sum += np.log(np.abs(prod))
+    per_seed = np.log(k * (1.0 - ts * ts))[:, None] - 2.0 * log_sum / n_steps
+    return per_seed.mean(axis=1), per_seed.std(axis=1, ddof=1) / math.sqrt(n_seeds)
+
+
+@st.composite
+def _birkhoff_cases(draw):
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 3))
+    t_max = 0.95 * critical_temperature(k)
+    ts = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, t_max)), min_size=n, max_size=n))
+    phis = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+    return dict(
+        phis=phis,
+        ts=ts,
+        k=k,
+        n_steps=draw(st.sampled_from([1, 15, 16, 17, 33, 500])),
+        burn_in=draw(st.sampled_from([0, 1, 7])),
+        n_seeds=draw(st.integers(2, 8)),
+        seed=draw(st.integers(0, 2**31)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_birkhoff_cases())
+def test_birkhoff_kernel_is_bit_exact(case):
+    means, errs = birkhoff_exponents(**case)
+    ref_means, ref_errs = _reference_birkhoff(**case)
+    assert np.array_equal(means, ref_means)
+    assert np.array_equal(errs, ref_errs)
+
+
+@pytest.mark.parametrize("phis, ts, match", [
+    ([math.nan], [0.2], "finite"),
+    ([0.3, math.inf], [0.2, 0.2], "finite"),
+    ([-math.inf], 0.1, "finite"),
+    ([], [0.2], "empty"),
+    ([], [], "empty"),
+    ([[0.1, 0.2]], [0.2], r"phis must be a scalar or 1-D, got shape \(1, 2\)"),
+    ([0.1, 0.2], [0.2, 0.3, 0.1], r"ts of shape \(3,\) does not broadcast to phis of shape \(2,\)"),
+    ([0.1], [0.2, 0.3], r"ts of shape \(2,\) does not broadcast to phis of shape \(1,\)"),
+], ids=["nan", "inf", "-inf", "empty", "empty-both", "2-D", "ts-longer", "phis-shorter"])
+def test_birkhoff_refuses_bad_parameters_before_stepping(phis, ts, match, monkeypatch):
+    def no_orbits(*args, **kwargs):
+        raise AssertionError("orbits seeded before the parameters were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_orbits)
+    with pytest.raises(ValueError, match=match):
+        birkhoff_exponents(phis, ts, 2, n_steps=20_000)
 
 
 def test_preimages_invert_the_lift():
@@ -226,6 +313,70 @@ def test_kappa_diverges_at_gap_edge():
     inner = kappa_curve(t, 2, [edge + 0.01])[0].kappa
     outer = kappa_curve(t, 2, [edge + 0.8])[0].kappa
     assert inner > 3.0 * outer  # blows up approaching the zero-free arc
+
+
+def _bits(*values) -> bytes:
+    out = b""
+    for v in values:
+        if isinstance(v, complex):
+            out += struct.pack("<dd", v.real, v.imag)
+        elif v is None:
+            out += b"none"
+        else:
+            out += struct.pack("<d", v)
+    return out
+
+
+def _kappa_one_by_one(t, k, phis):
+    """Each angle on its own: disk_fixed_point, then chi and log k / chi."""
+    out = []
+    for phi in phis:
+        if not interior_support(phi, t, k):
+            out.append((phi, None, math.nan, math.nan, False))
+            continue
+        w = disk_fixed_point(ModelParams(k, t, phi))
+        chi = _chi_acim(w, t, k)
+        out.append((phi, w, chi, math.log(k) / chi, True))
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("which", ["zero", "critical", "0.6", "0.9"])
+def test_kappa_curve_batch_matches_single_angles(k, which):
+    tc = critical_temperature(k)
+    t = {"zero": 0.0, "critical": tc, "0.6": max(0.6, tc + 0.05), "0.9": 0.9}[which]
+    phis = list(np.linspace(-math.pi, math.pi, 61)[1:]) + [0.0, 1e-7, -1e-7, math.pi]
+    if t > tc:
+        edge = phi_e(t, k)
+        for d in (1e-6, 5e-7, 1e-7):
+            phis += [edge + d, edge - d, -edge - d, -edge + d]
+    got = kappa_curve(t, k, phis)
+    want = _kappa_one_by_one(t, k, phis)
+    assert len(got) == len(want)
+    for pt, ref in zip(got, want):
+        assert pt.in_support == ref[4]
+        assert _bits(pt.phi, pt.w_disk, pt.chi, pt.kappa) == _bits(*ref[:4])
+
+
+def test_kappa_curve_missing_disk_root_still_raises():
+    # one ulp inside the support the disk and circle fixed points have not
+    # separated by CIRCLE_BAND yet: the single-angle path finds no disk root
+    # for some of these, and the batch must refuse the same angles
+    raised = 0
+    for k in (2, 3, 4):
+        for t in (2.0 / 3.0, 0.75, 0.9):
+            phi = math.nextafter(phi_e(t, k), 4.0)
+            try:
+                want = _kappa_one_by_one(t, k, [phi])[0]
+            except OutsideSupportError as err:
+                raised += 1
+                with pytest.raises(OutsideSupportError, match="no disk fixed point") as got:
+                    kappa_curve(t, k, [1.0, phi])
+                assert str(got.value) == str(err)
+                continue
+            pt = kappa_curve(t, k, [phi])[0]
+            assert _bits(pt.phi, pt.w_disk, pt.chi, pt.kappa) == _bits(*want[:4])
+    assert raised > 0
 
 
 def test_spectral_report_fields():

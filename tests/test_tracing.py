@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from cayley_ising.measure import EmpiricalMeasure
-from cayley_ising import zeros
+from cayley_ising import spectra, zeros
 from cayley_ising.zeros import TreeSpec
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -41,3 +41,21 @@ def test_traced_enumeration_and_counts_reach_the_lift():
         tracer.remove()
     assert tracer.counts["zeros.zeros_requested"] == tree.vertex_count
     assert tracer.counts["zeros.lift_point_levels"] == 16 * tree.level
+
+
+def test_traced_birkhoff_and_kappa_curve_keep_their_layer_figures():
+    # spectra.birkhoff_ns_per_chain_step divides the Birkhoff span by this
+    # chain-step count, and spectra.kappa_curve_s reads the kappa_curve span
+    tracer = Tracer()
+    tracer.install()
+    try:
+        spectra.birkhoff_exponents([0.5, 1.0, -2.0], [0.2, 0.1, 0.3], 2, n_steps=20, burn_in=3, n_seeds=4)
+        spectra.kappa_curve(0.5, 2, [0.0, 1.0, 2.5])
+    finally:
+        tracer.remove()
+    assert tracer.counts["spectra.chain_steps"] == 3 * 4 * (3 + 20)
+    names = [span[0] for span in tracer.spans]
+    assert "spectra.birkhoff" in names and "spectra.kappa_curve" in names
+    metrics = tracer.metrics(1.0, 1.0)
+    assert metrics["spectra.kappa_curve_s"] > 0.0
+    assert metrics["spectra.birkhoff_ns_per_chain_step"] > 0.0
