@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,13 @@ def _validate_t(t: float) -> None:
         raise ValueError(f"temperature variable t must lie in [0, 1), got {t}")
 
 
+def _validate_k(k) -> None:
+    """A branching number is an integer >= 2; an integral float such as 2.0
+    is refused too, since the tree sizes and lift powers need a true int."""
+    if not isinstance(k, numbers.Integral) or k < 2:
+        raise ValueError(f"branching number k must be an integer >= 2, got {k!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Branching number k, temperature variable t in [0,1), field angle phi in (-pi, pi]."""
@@ -65,8 +73,7 @@ class ModelParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 2:
-            raise ValueError(f"branching number k must be an integer >= 2, got {self.k}")
+        _validate_k(self.k)
         _validate_t(self.t)
         if not (-math.pi < self.phi <= math.pi):
             raise ValueError(f"field angle phi must lie in (-pi, pi], got {self.phi}")
@@ -74,13 +81,6 @@ class ModelParams:
     @property
     def z(self) -> complex:
         return cmath.exp(1j * self.phi)
-
-    @property
-    def temperature(self) -> float:
-        """T = -2/ln t with the coupling J fixed to 1 (zero in the t=0 limit)."""
-        if self.t == 0.0:
-            return 0.0
-        return -2.0 / math.log(self.t)
 
 
 def lift_eval(theta, p: ModelParams):
@@ -126,7 +126,6 @@ class FixedPoint:
 class FixedPointSet:
     params: ModelParams
     roots: tuple[FixedPoint, ...]
-    degree_dropped: bool = False  # t=0: the exterior fixed point escapes to infinity
 
     def disk_root(self):
         """The unique attracting fixed point inside the unit disk, or None."""
@@ -165,15 +164,14 @@ def _location(w: complex) -> str:
     return "disk" if r < 1.0 else "exterior"
 
 
-def _sorted_roots(t: float, k: int, zs) -> tuple[list[list[complex]], bool]:
+def _sorted_roots(t: float, k: int, zs) -> list[list[complex]]:
     """Roots of P(w) for every field z of a list, sorted by (|w|, arg) per row.
 
     One companion matrix per field, all stacked into one np.linalg.eigvals
     call, then four Newton steps by row-wise Horner: each row is what
     np.roots and np.polyval give for that field alone.  At t=0 the degree
     drops from k+1 to k and the constant term vanishes with the leading one,
-    so w = 0 is appended after the companion roots, as np.roots does; the
-    flag returned says so.
+    so w = 0 is appended after the companion roots, as np.roots does.
     """
     coeffs = _fixed_point_poly(zs, t, k)
     # the leading coefficient -t^k and the constant z t^k vanish together,
@@ -199,7 +197,7 @@ def _sorted_roots(t: float, k: int, zs) -> tuple[list[list[complex]], bool]:
     rows = roots.tolist()
     for row in rows:
         row.sort(key=lambda r: (abs(r), math.atan2(r.imag, r.real)))
-    return rows, dropped
+    return rows
 
 
 def fixed_points(p: ModelParams) -> FixedPointSet:
@@ -207,11 +205,11 @@ def fixed_points(p: ModelParams) -> FixedPointSet:
     solve that disk_fixed_points runs over a whole grid.
 
     At t=0 the polynomial degree drops from k+1 to k (the exterior fixed
-    point is at infinity); the returned set is flagged accordingly.
+    point is at infinity), so the set holds k roots instead of k+1.
     """
-    (row,), dropped = _sorted_roots(p.t, p.k, [p.z])
+    (row,) = _sorted_roots(p.t, p.k, [p.z])
     pts = tuple(FixedPoint(w, _location(w), complex(map_derivative(w, p))) for w in row)
-    return FixedPointSet(p, pts, degree_dropped=dropped)
+    return FixedPointSet(p, pts)
 
 
 def disk_fixed_points(t: float, k: int, phis) -> list[complex | None]:
@@ -219,14 +217,13 @@ def disk_fixed_points(t: float, k: int, phis) -> list[complex | None]:
     fixed_points(ModelParams(k, t, phi)).disk_root() bit for bit, from one
     batched root solve."""
     zs = [ModelParams(k, t, float(phi)).z for phi in phis]
-    rows, _ = _sorted_roots(t, k, zs)
+    rows = _sorted_roots(t, k, zs)
     return [next((w for w in row if _location(w) == "disk"), None) for row in rows]
 
 
 def critical_temperature(k: int) -> float:
     """t_c = (k-1)/(k+1)."""
-    if int(k) != k or k < 2:
-        raise ValueError(f"branching number k must be an integer >= 2, got {k}")
+    _validate_k(k)
     return (k - 1) / (k + 1)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import write_csv
 from .measure import EmpiricalMeasure, symmetric_mass
-from .spectra import log_log_fit, pointwise_dimension
+from .spectra import MIN_ATOMS, log_log_fit, pointwise_dimension
 from .zeros import TreeSpec, enumerate_zeros
 
 
@@ -46,20 +46,18 @@ def _require_finite_z(z: complex) -> None:
 
 
 @lru_cache(maxsize=16)
-def _cached_angles(variant: str, level: int, k: int, t: float):
-    zs = enumerate_zeros(TreeSpec(variant, level, k), t)
+def _cached_angles(level: int, k: int, t: float):
+    zs = enumerate_zeros(TreeSpec("rooted", level, k), t)
     return np.exp(1j * zs.angles)
 
 
-def free_energy_electrostatic(
-    z: complex, t: float, k: int, n: int, variant: str = "rooted"
-) -> float:
+def free_energy_electrostatic(z: complex, t: float, k: int, n: int) -> float:
     """-2T * mean(log|z - zeta_i|) + T(log|z| + log t), edge/vertex ratio 1."""
     _require_finite_z(z)
     temp = temperature_of(t)
     if z == 0:
         raise ValueError("z = 0 is a pole of the log|z| term")
-    atoms = _cached_angles(variant, n, k, t)
+    atoms = _cached_angles(n, k, t)
     dist = np.abs(z - atoms)
     if np.min(dist) < 1e-300:
         raise AtomEvaluationError(f"z={z} coincides with a Lee-Yang zero; F = -inf there")
@@ -67,7 +65,7 @@ def free_energy_electrostatic(
     return -2.0 * temp * potential + temp * (math.log(abs(z)) + math.log(t))
 
 
-def free_energy_recursive(z: complex, t: float, k: int, n: int, variant: str = "rooted") -> float:
+def free_energy_recursive(z: complex, t: float, k: int, n: int) -> float:
     """Per-site free energy from the conditional-pair recursion.
 
     Tracks log|Z_n^+| and the ratio w = Z^-/Z^+ instead of the partition
@@ -79,7 +77,7 @@ def free_energy_recursive(z: complex, t: float, k: int, n: int, variant: str = "
     temp = temperature_of(t)
     if z == 0:
         raise ValueError("z = 0 is a pole of the field term")
-    tree = TreeSpec(variant, n, k)
+    tree = TreeSpec("rooted", n, k)
     w = complex(z)
     log_zplus = -0.5 * math.log(abs(z))
     for k_step in tree.steps:
@@ -97,12 +95,12 @@ def free_energy_recursive(z: complex, t: float, k: int, n: int, variant: str = "
     return -2.0 * temp * log_partition / tree.vertex_count
 
 
-def magnetization(z: complex, t: float, k: int, n: int, variant: str = "rooted") -> complex:
+def magnetization(z: complex, t: float, k: int, n: int) -> complex:
     """M(z) = -4z * mean(1/(z - zeta_i)) + 2; defined off the zero support."""
     _require_finite_z(z)
     if z == 0:
         return complex(2.0)
-    atoms = _cached_angles(variant, n, k, t)
+    atoms = _cached_angles(n, k, t)
     dist = np.abs(z - atoms)
     if np.min(dist) < 1e-9:
         raise OnSupportError(f"z={z} is within 1e-9 of a Lee-Yang zero; M undefined there")
@@ -140,6 +138,8 @@ def order_from_kappa(kappa_hat: float) -> int:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# a singular-exponent fit below this R^2 is flagged unstable, with a warning
+_R2_STABLE = 0.98
 
 
 def _require_positive(name: str, values) -> None:
@@ -200,10 +200,7 @@ def singular_exponent(
     n: int = 20,
     delta0: float = 0.5,
     ys=None,
-    m: int | None = None,
     kappa_prior: float | None = None,
-    variant: str = "rooted",
-    r2_threshold: float = 0.98,
 ) -> SingularFit:
     """Critical exponent from the log-log slope of |h_sing(y)| on a dyadic grid.
 
@@ -214,9 +211,8 @@ def singular_exponent(
     ys : crossing distances; defaults to delta0 * 2^-j over the window that
         the level-n resolution supports.  An explicit grid needs at least
         three distinct values, all finite and positive.
-    m, kappa_prior : the subtraction order; if m is omitted it is derived
-        from kappa_prior, itself defaulting to the pointwise-dimension
-        estimate at the same parameters.
+    kappa_prior : fixes the subtraction order m (2m < kappa_prior <= 2m+2);
+        defaults to the pointwise-dimension estimate at the same parameters.
 
     All |h_sing(y)| of the grid come from one `singular_part` call, so a fit
     makes at most three `counts` calls: the prior, the resolution probe and
@@ -229,18 +225,17 @@ def singular_exponent(
         distinct = len(np.unique(ys))
         if distinct < 3:
             raise ValueError(f"fewer than three usable scales: the y grid has {distinct} distinct values")
-    em = EmpiricalMeasure(TreeSpec(variant, n, k), t)
-    if m is None:
-        if kappa_prior is None:
-            kappa_prior = pointwise_dimension(phi, t, k, level=n, coarsest=delta0 / 4.0).value
-        m = order_from_kappa(kappa_prior)
+    em = EmpiricalMeasure(TreeSpec("rooted", n, k), t)
+    if kappa_prior is None:
+        kappa_prior = pointwise_dimension(phi, t, k, level=n, coarsest=delta0 / 4.0).value
+    m = order_from_kappa(kappa_prior)
     if ys is None:
-        # resolution-aware default: y must stay above the scale holding ~50
-        # zeros (the mass function is unresolved below it) and well under
-        # delta0, where the finite-cutoff correction (y/delta0)^(2m+2-kappa)
-        # pollutes the slope
+        # resolution-aware default: y must stay above the scale holding
+        # MIN_ATOMS zeros (the mass function is unresolved below it) and
+        # well under delta0, where the finite-cutoff correction
+        # (y/delta0)^(2m+2-kappa) pollutes the slope
         probe = delta0 * 2.0 ** -np.arange(1.0, 16.0, 0.25)
-        resolved = symmetric_mass(phi, probe, em) * em.total >= 50
+        resolved = symmetric_mass(phi, probe, em) * em.total >= MIN_ATOMS
         zeta50 = float(probe[resolved][-1]) if resolved.any() else math.inf
         y_fine = max(2.0 * zeta50, delta0 * 2.0**-10)
         y_coarse = delta0 / 64.0
@@ -257,19 +252,18 @@ def singular_exponent(
     if np.any(h_vals <= 0.0):
         raise ValueError("singular part vanished on the y grid; enlarge delta0 or the level")
     slope, r2, fitted = log_log_fit(ys, h_vals)
-    stable = bool(r2 >= r2_threshold)
+    stable = bool(r2 >= _R2_STABLE)
     if not stable:
-        warnings.warn(f"singular-exponent fit unstable: R^2 = {r2:.4f} < {r2_threshold}", stacklevel=2)
+        warnings.warn(f"singular-exponent fit unstable: R^2 = {r2:.4f} < {_R2_STABLE}", stacklevel=2)
     return SingularFit(
-        slope, r2, int(m), tuple(map(float, ys)), tuple(map(float, h_vals)),
+        slope, r2, m, tuple(map(float, ys)), tuple(map(float, h_vals)),
         tuple(map(float, fitted)), stable,
     )
 
 
 @dataclass(frozen=True)
 class FreeEnergyReport:
-    """Both free-energy routes, the magnetization, and (optionally) the
-    radial critical-exponent fit at one evaluation point."""
+    """Both free-energy routes and the magnetization at one evaluation point."""
 
     z: complex
     t: float
@@ -278,14 +272,9 @@ class FreeEnergyReport:
     f_electrostatic: float
     f_recursive: float
     magnetization: complex
-    kappa_fit: SingularFit | None = None
-
-    @property
-    def m_order(self) -> int | None:
-        return self.kappa_fit.m_order if self.kappa_fit is not None else None
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "schema_version": 1,
             "z_re": self.z.real,
             "z_im": self.z.imag,
@@ -297,42 +286,18 @@ class FreeEnergyReport:
             "magnetization_re": self.magnetization.real,
             "magnetization_im": self.magnetization.imag,
         }
-        if self.kappa_fit is not None:
-            doc["kappa_fit"] = {
-                "kappa": self.kappa_fit.kappa,
-                "r_squared": self.kappa_fit.r_squared,
-                "m_order": self.kappa_fit.m_order,
-                "stable": self.kappa_fit.stable,
-            }
-        return doc
 
 
-def free_energy_report(
-    z: complex,
-    t: float,
-    k: int,
-    n: int,
-    variant: str = "rooted",
-    with_kappa: bool = False,
-    delta0: float = 0.5,
-) -> FreeEnergyReport:
-    """Evaluate both free-energy routes and the magnetization at z.
-
-    With with_kappa=True the singular-exponent fit is run at phi = Arg z
-    (which must then lie in the zero support).
-    """
-    fit = None
-    if with_kappa:
-        fit = singular_exponent(math.atan2(z.imag, z.real), t, k, n=n, delta0=delta0, variant=variant)
+def free_energy_report(z: complex, t: float, k: int, n: int) -> FreeEnergyReport:
+    """Evaluate both free-energy routes and the magnetization at z."""
     return FreeEnergyReport(
         z=complex(z),
         t=t,
         k=k,
         level=n,
-        f_electrostatic=free_energy_electrostatic(z, t, k, n, variant),
-        f_recursive=free_energy_recursive(z, t, k, n, variant),
-        magnetization=magnetization(z, t, k, n, variant),
-        kappa_fit=fit,
+        f_electrostatic=free_energy_electrostatic(z, t, k, n),
+        f_recursive=free_energy_recursive(z, t, k, n),
+        magnetization=magnetization(z, t, k, n),
     )
 
 

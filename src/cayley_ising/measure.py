@@ -55,18 +55,6 @@ def empirical_cdf(phi, em: EmpiricalMeasure):
     return float(out) if np.isscalar(phi) or np.asarray(phi).ndim == 0 else out
 
 
-def interval_mass(a: float, b: float, em: EmpiricalMeasure):
-    """Mass of the half-open arc (a, b], exact to 1/N.
-
-    Half-openness makes the mass exactly additive over adjacent intervals;
-    endpoints must satisfy -pi <= a <= b <= pi.
-    """
-    if not (-math.pi <= a <= b <= math.pi):
-        raise ValueError(f"need -pi <= a <= b <= pi, got a={a}, b={b}")
-    ca, cb = em.counts(np.array([a, b]))
-    return float(cb - ca) / em.total
-
-
 def symmetric_mass(phi: float, zeta, em: EmpiricalMeasure):
     """Mass of [phi-zeta, phi+zeta] clipped to the period, vectorized in zeta
     (any shape): one counts call, which lifts each distinct end angle once.
@@ -88,13 +76,13 @@ def symmetric_mass(phi: float, zeta, em: EmpiricalMeasure):
     return float(out) if out.ndim == 0 else out
 
 
-def max_gap(em: EmpiricalMeasure, workers: int | None = None) -> float:
+def max_gap(em: EmpiricalMeasure) -> float:
     """Largest angular gap between circularly consecutive zeros.
 
     Above the critical temperature the known zero-free arc around phi=0 is
     excluded, so the statistic stays meaningful as an interior-density probe.
     """
-    zs = enumerate_zeros(em.tree, em.t, workers=workers)
+    zs = enumerate_zeros(em.tree, em.t)
     angles = zs.angles
     gaps = np.diff(angles)
     wrap = angles[0] + 2.0 * math.pi - angles[-1]

@@ -62,12 +62,6 @@ class PartitionPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z):
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c
-        return acc
-
 
 def _pair_sum(steps, p: int, q: int, z: int) -> int:
     """q-cleared A + B of the pair recursion at the integer z, for t = p/q."""

@@ -40,6 +40,9 @@ from .measure import EmpiricalMeasure, symmetric_mass
 from .zeros import TreeSpec
 
 MAX_PULLBACK_LEAVES = 1 << 22
+# fewest zeros a mass window may hold before its scale counts as unresolved,
+# in the pointwise-dimension fit and in the singular-exponent y window
+MIN_ATOMS = 50
 # Birkhoff steps per log of the running product of 1+tw
 _LOG_BLOCK = 16
 
@@ -62,15 +65,11 @@ def disk_fixed_point(p: ModelParams) -> complex:
     _require_interior(p.phi, p.t, p.k)
     root = fixed_points(p).disk_root()
     if root is None:
-        raise _no_disk_root(p.phi, p.t)
+        raise OutsideSupportError(
+            f"no disk fixed point found at (phi={p.phi}, t={p.t}); parameters "
+            "are too close to the gap-edge curve"
+        )
     return root.value
-
-
-def _no_disk_root(phi: float, t: float) -> OutsideSupportError:
-    return OutsideSupportError(
-        f"no disk fixed point found at (phi={phi}, t={t}); parameters "
-        "are too close to the gap-edge curve"
-    )
 
 
 def lyapunov_acim_closed(p: ModelParams) -> float:
@@ -282,14 +281,12 @@ def pointwise_dimension(
     level: int = 20,
     octaves: int = 5,
     coarsest: float | None = None,
-    min_atoms: int = 50,
-    variant: str = "rooted",
 ) -> DimensionFit:
     """Least-squares slope of log mass([phi-d, phi+d]) against log 2d.
 
     Scales are dyadic, d_j = coarsest * 2^-j.  The coarsest scale is capped
     so the window stays inside the zero support (and inside the principal
-    branch); the finest is raised until it still holds at least min_atoms
+    branch); the finest is raised until it still holds at least MIN_ATOMS
     zeros, warning if that truncates the requested range.  An explicit
     coarsest must be finite and positive and octaves at least 2 (three
     scales), else ValueError.
@@ -298,7 +295,7 @@ def pointwise_dimension(
         raise ValueError(f"coarsest scale must be finite and positive, got {coarsest}")
     if octaves < 2:
         raise ValueError(f"fewer than three usable scales: octaves = {octaves}, need at least 2")
-    em = EmpiricalMeasure(TreeSpec(variant, level, k), t)
+    em = EmpiricalMeasure(TreeSpec("rooted", level, k), t)
     room = math.pi - abs(phi)
     if t > critical_temperature(k):
         room = min(room, abs(phi) - phi_e(t, k))
@@ -308,10 +305,10 @@ def pointwise_dimension(
         coarsest = min(math.pi / 8.0, room / 2.0)
     deltas = coarsest * 0.5 ** np.arange(octaves + 1)
     masses = symmetric_mass(phi, deltas, em)
-    enough = masses * em.total >= min_atoms
+    enough = masses * em.total >= MIN_ATOMS
     if not np.all(enough):
         warnings.warn(
-            f"finest scales hold fewer than {min_atoms} zeros at level {level}; "
+            f"finest scales hold fewer than {MIN_ATOMS} zeros at level {level}; "
             "shrinking the scale range",
             stacklevel=2,
         )
@@ -419,19 +416,20 @@ def kappa_curve(t: float, k: int, phis) -> list[KappaPoint]:
     root solve (core.disk_fixed_points), bit for bit what disk_fixed_point
     gives angle by angle.  Angles inside the zero-free arc are emitted with
     a no-support marker instead of being dropped, so grids stay aligned for
-    plotting.
+    plotting.  An in-support angle so close to the gap edge that the solve
+    finds no disk root is emitted with w_disk=None and NaN chi and kappa,
+    its in_support still True, instead of aborting the curve;
+    disk_fixed_point raises OutsideSupportError there.
     """
     phis = [float(phi) for phi in np.atleast_1d(np.asarray(phis, dtype=float))]
     support = [interior_support(phi, t, k) for phi in phis]
     disk = iter(disk_fixed_points(t, k, [phi for phi, s in zip(phis, support) if s]))
     out = []
     for phi, inside in zip(phis, support):
-        if not inside:
-            out.append(KappaPoint(phi, None, math.nan, math.nan, False))
-            continue
-        w = next(disk)
+        w = next(disk) if inside else None
         if w is None:
-            raise _no_disk_root(phi, t)
+            out.append(KappaPoint(phi, None, math.nan, math.nan, inside))
+            continue
         chi = _chi_acim(w, t, k)
         out.append(KappaPoint(phi, w, chi, math.log(k) / chi, True))
     return out

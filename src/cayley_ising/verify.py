@@ -166,8 +166,8 @@ def degree_identity_gap(cases):
     composed lift G over (tree, t, phis) cases."""
     worst = 0.0
     for tree, t, phis in cases:
-        psi1, w1 = zeros.iterated_lift(phis, tree, t)
-        psi2, w2 = zeros.iterated_lift(phis + core.TAU, tree, t)
+        psi1, w1, _ = zeros.iterated_lift(phis, tree, t)
+        psi2, w2, _ = zeros.iterated_lift(phis + core.TAU, tree, t)
         gap = (psi2 - psi1) + core.TAU * (w2 - w1) - core.TAU * tree.vertex_count
         worst = max(worst, float(np.max(np.abs(gap))) / (core.TAU * tree.vertex_count))
     return worst
@@ -222,7 +222,7 @@ def check_lift_structure(rng, quick: bool) -> list[CheckResult]:
     # monotone dependence of the composed lift on phi, and the degree identity
     tree = zeros.TreeSpec("rooted", 5, 2)
     phis = np.sort(rng.uniform(-math.pi, math.pi, 64))
-    _, _, deriv = zeros.iterated_lift(phis, tree, 0.6, derivative=True)
+    _, _, deriv = zeros.iterated_lift(phis, tree, 0.6)
     min_deriv = float(np.min(deriv))
     worst_degree = degree_identity_gap([(tree, 0.6, phis)])
     return [

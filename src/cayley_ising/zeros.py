@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU, _validate_t, inverse_moebius_lift, write_csv
+from .core import TAU, _validate_k, _validate_t, inverse_moebius_lift, write_csv
 
 # bound on the rounding error of the composed lift, in ulp(pi) per unit of
 # G'(phi) (see iterated_lift): a lift that lands within it below pi is
@@ -67,8 +67,7 @@ class TreeSpec:
     def __post_init__(self):
         if self.variant not in ("rooted", "full"):
             raise ValueError(f"variant must be 'rooted' or 'full', got {self.variant!r}")
-        if int(self.k) != self.k or self.k < 2:
-            raise ValueError(f"branching number k must be an integer >= 2, got {self.k}")
+        _validate_k(self.k)
         if self.level < 0:
             raise ValueError("level must be >= 0")
         if self.variant == "full" and self.level < 1:
@@ -127,8 +126,8 @@ def _wrap_angle(theta):
     return np.where(inside, theta, np.where(psi == -math.pi, math.pi, psi))
 
 
-def iterated_lift(phi, tree: TreeSpec, t: float, derivative: bool = False):
-    """Composed lift G(phi) in split form (psi, winding[, dG/dphi]).
+def iterated_lift(phi, tree: TreeSpec, t: float):
+    """Composed lift G(phi) in split form (psi, winding, dG/dphi).
 
     G(phi) = psi + 2pi*winding with psi in (-pi, pi].  The winding number is
     an exact int64 (|winding| <= |V| for phi in [-pi, pi], and trees beyond
@@ -161,12 +160,9 @@ def iterated_lift(phi, tree: TreeSpec, t: float, derivative: bool = False):
     flat = phi.reshape(-1)
     psi = _wrap_angle(flat)
     wind = np.rint((flat - psi) / TAU).astype(np.int64)
-    deriv = np.ones_like(psi) if derivative else None
+    deriv = np.ones_like(psi)
     _lift_steps(flat, psi, wind, deriv, tree.steps, t)
-    out = (psi.reshape(phi.shape), wind.reshape(phi.shape))
-    if derivative:
-        return out + (deriv.reshape(phi.shape),)
-    return out
+    return psi.reshape(phi.shape), wind.reshape(phi.shape), deriv.reshape(phi.shape)
 
 
 def _lift_steps(phi, psi, wind, deriv, steps, t):
@@ -200,10 +196,9 @@ def _lift_steps(phi, psi, wind, deriv, steps, t):
         mod += psi
         np.sqrt(mod, out=mod)
         np.divide(1.0, mod, out=mod)
-        if deriv is not None:
-            deriv *= mod
-            deriv *= k * (1.0 - t * t)
-            deriv += 1.0
+        deriv *= mod
+        deriv *= k * (1.0 - t * t)
+        deriv += 1.0
         np.multiply(m_re, mod, out=u.real)
         np.multiply(m_im, mod, out=u.imag)
         # the products alternate between two buffers: numpy rounds a
@@ -230,7 +225,7 @@ def branch_count(phi, tree: TreeSpec, t: float):
     count on (a, b] is C(b) - C(a).  A lift that lands within its own
     rounding error below the seam, SEAM_ULPS * ulp(pi) * G'(phi), counts as
     on it: the zero set lives on (-pi, pi], so seam hits belong to +pi."""
-    psi, wind, deriv = iterated_lift(phi, tree, t, derivative=True)
+    psi, wind, deriv = iterated_lift(phi, tree, t)
     return wind + (psi >= math.pi - SEAM_ULPS * math.ulp(math.pi) * deriv)
 
 

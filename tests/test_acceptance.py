@@ -57,8 +57,8 @@ def test_criterion_03_counting():
             if n >= 1:
                 corrected = 1 + (k + 1) * ((k**n - 1) // (k - 1))
                 assert zero_count(TreeSpec("full", n, k)) == corrected
-                psi_lo, w_lo = iterated_lift(np.array(-math.pi), TreeSpec("full", n, k), 0.3)
-                psi_hi, w_hi = iterated_lift(np.array(math.pi), TreeSpec("full", n, k), 0.3)
+                psi_lo, w_lo, _ = iterated_lift(np.array(-math.pi), TreeSpec("full", n, k), 0.3)
+                psi_hi, w_hi, _ = iterated_lift(np.array(math.pi), TreeSpec("full", n, k), 0.3)
                 winding = (psi_hi - psi_lo) / (2 * math.pi) + (w_hi - w_lo)
                 assert winding == pytest.approx(corrected, abs=1e-9)
     print("\nPASS criterion 3 (counting): rooted formula exact; full count exact per the "

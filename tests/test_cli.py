@@ -18,12 +18,15 @@ def _refuse_constant(name):
     raise ValueError(f"artifact holds the non-JSON constant {name}")
 
 
+def report_schema():
+    return json.loads((Path(cayley_ising.__file__).parent / "schemas" / "report.schema.json").read_text())
+
+
 def load_report(path):
     """Parse a JSON artifact strictly (NaN or Infinity fail) and validate it
     against the package's report schema."""
     doc = json.loads(path.read_text(), parse_constant=_refuse_constant)
-    schema = json.loads((Path(cayley_ising.__file__).parent / "schemas" / "report.schema.json").read_text())
-    jsonschema.validate(doc, schema)
+    jsonschema.validate(doc, report_schema())
     return doc
 
 
@@ -141,6 +144,18 @@ def test_free_energy_radial(tmp_path):
     rows = out.read_text().strip().splitlines()[1:]
     assert len(rows) >= 5
     assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
+
+
+def test_free_energy_report_json(tmp_path):
+    out = tmp_path / "fe.json"
+    assert run(["free-energy", "--k", 2, "--t", "0.5", "--n", 10, "--phi", "0.3",
+                "--radius", "2.0", "--mode", "report", "--out", out]) == 0
+    doc = load_report(out)
+    # the schema lists exactly the fields the report writes
+    assert set(report_schema()["$defs"]["free_energy_report"]["properties"]) == set(doc)
+    assert doc["level"] == 10 and doc["k"] == 2
+    assert doc["z_re"] == pytest.approx(2.0 * math.cos(0.3))
+    assert doc["f_electrostatic"] == pytest.approx(doc["f_recursive"], rel=1e-3)
 
 
 def test_free_energy_singular_refuses_zero_delta0(tmp_path, capsys):

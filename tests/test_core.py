@@ -26,8 +26,6 @@ def test_params_validation():
         ModelParams(2, -0.1, 0.0)
     with pytest.raises(ValueError):
         ModelParams(2, 0.5, 4.0)
-    p = ModelParams(2, 0.5, 0.3)
-    assert p.temperature == pytest.approx(-2.0 / math.log(0.5))
 
 
 def test_lift_known_values():
@@ -96,8 +94,7 @@ def test_fixed_points_triple_root_at_tc():
 
 def test_fixed_points_degenerate_t0():
     fps = fixed_points(ModelParams(3, 0.0, 0.4))
-    assert fps.degree_dropped
-    assert len(fps.roots) == 3
+    assert len(fps.roots) == 3  # degree k, not k+1: the exterior root is at infinity
     assert abs(fps.disk_root().value) < 1e-12  # B(w) = z w^k fixes 0
 
 
@@ -128,6 +125,25 @@ def test_critical_temperature():
     assert critical_temperature(10) == pytest.approx(9.0 / 11.0)
     with pytest.raises(ValueError):
         critical_temperature(1)
+
+
+def test_non_integral_k_is_refused():
+    # an integral float used to pass validation and fail later with TypeError
+    from cayley_ising.spectra import birkhoff_exponents, kappa_curve
+    from cayley_ising.zeros import TreeSpec
+
+    calls = [
+        lambda: ModelParams(2.0, 0.2, 0.5),
+        lambda: ModelParams(np.float64(3.0), 0.2, 0.5),
+        lambda: TreeSpec("rooted", 3, 2.0),
+        lambda: critical_temperature(2.0),
+        lambda: kappa_curve(0.2, 2.0, [0.5]),
+        lambda: birkhoff_exponents([0.5], [0.2], 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="integer >= 2"):
+            call()
+    assert ModelParams(np.int64(3), 0.2, 0.5).k == 3
 
 
 def test_tangency_values():

@@ -16,7 +16,7 @@ from cayley_ising.free_energy import (
     singular_part,
     temperature_of,
 )
-from cayley_ising.measure import EmpiricalMeasure, interval_mass
+from cayley_ising.measure import EmpiricalMeasure
 from cayley_ising.zeros import TreeSpec, enumerate_zeros
 
 
@@ -96,16 +96,8 @@ def test_radial_scan_rows():
 def test_free_energy_report_bundle():
     rep = free_energy_report(2.0 + 0.5j, 0.5, 2, 12)
     assert abs(rep.f_electrostatic - rep.f_recursive) <= 1e-3 * (1 + abs(rep.f_electrostatic))
-    assert rep.m_order is None
     doc = rep.to_dict()
     assert doc["level"] == 12 and doc["k"] == 2
-    # near t=0 the measure is near-uniform, so the fitted exponent is near 1
-    rep2 = free_energy_report(
-        complex(math.cos(0.9), math.sin(0.9)) * 1.05, 0.01, 2, 18, with_kappa=True
-    )
-    assert rep2.kappa_fit is not None
-    assert rep2.kappa_fit.kappa == pytest.approx(1.0, abs=0.03)
-    assert rep2.m_order == 0
 
 
 def test_order_from_kappa():
@@ -162,8 +154,12 @@ def test_singular_exponent_counts_calls(counts_calls):
     singular_exponent(0.9, 0.0, 2, n=18, kappa_prior=1.0, delta0=0.5, ys=ys)
     assert len(counts_calls) == 1
     counts_calls.clear()
-    singular_exponent(0.9, 0.01, 2, n=18)
+    fit = singular_exponent(0.9, 0.01, 2, n=18)
     assert len(counts_calls) <= 3
+    # near t=0 the measure is near-uniform, so the fitted exponent is near 1;
+    # the order m comes from the pointwise-dimension prior
+    assert fit.kappa == pytest.approx(1.0, abs=0.03)
+    assert fit.m_order == 0
 
 
 @pytest.mark.parametrize("y", [0.0, -0.01, math.nan, math.inf])
@@ -258,7 +254,7 @@ def test_integration_by_parts_identity():
     atoms = zs.angles[(zs.angles > 0) & (zs.angles <= delta0)]
     lhs = sum(f(a) for a in atoms) / n_atoms
 
-    phi_at = lambda x: interval_mass(0.0, x, em)
+    phi_at = lambda x: float(em.counts(x) - em.counts(0.0)) / em.total
     # exact integral of f' * staircase: sum of Phi over constancy intervals
     cuts = np.concatenate([[0.0], atoms, [delta0]])
     rhs = f(delta0) * phi_at(delta0)

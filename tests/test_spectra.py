@@ -271,7 +271,7 @@ def test_pointwise_dimension_lebesgue():
 
 def test_pointwise_dimension_insufficient_scales():
     with pytest.raises(ValueError):
-        pointwise_dimension(0.9, 0.0, 2, level=4, min_atoms=50, octaves=5)
+        pointwise_dimension(0.9, 0.0, 2, level=4, octaves=5)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -358,25 +358,43 @@ def test_kappa_curve_batch_matches_single_angles(k, which):
         assert _bits(pt.phi, pt.w_disk, pt.chi, pt.kappa) == _bits(*ref[:4])
 
 
-def test_kappa_curve_missing_disk_root_still_raises():
+def test_kappa_curve_marks_missing_disk_root():
     # one ulp inside the support the disk and circle fixed points have not
     # separated by CIRCLE_BAND yet: the single-angle path finds no disk root
-    # for some of these, and the batch must refuse the same angles
-    raised = 0
+    # for some of these, and the batch marks the same angles with NaN instead
+    # of refusing the whole curve
+    marked = 0
     for k in (2, 3, 4):
         for t in (2.0 / 3.0, 0.75, 0.9):
             phi = math.nextafter(phi_e(t, k), 4.0)
+            good, pt = kappa_curve(t, k, [1.0, phi])
+            assert pt.in_support
             try:
                 want = _kappa_one_by_one(t, k, [phi])[0]
             except OutsideSupportError as err:
-                raised += 1
-                with pytest.raises(OutsideSupportError, match="no disk fixed point") as got:
-                    kappa_curve(t, k, [1.0, phi])
-                assert str(got.value) == str(err)
+                assert "no disk fixed point" in str(err)
+                marked += 1
+                assert pt.w_disk is None and math.isnan(pt.chi) and math.isnan(pt.kappa)
+                assert _bits(good.w_disk, good.chi) == _bits(*_kappa_one_by_one(t, k, [1.0])[0][1:3])
                 continue
-            pt = kappa_curve(t, k, [phi])[0]
             assert _bits(pt.phi, pt.w_disk, pt.chi, pt.kappa) == _bits(*want[:4])
-    assert raised > 0
+    assert marked > 0
+
+
+def test_kappa_curve_edge_angle_keeps_the_curve():
+    t = 0.5078407506772366
+    edge_phi = 0.3278182082463264  # in the support, one ulp past phi_e
+    assert interior_support(edge_phi, t, 2)
+    with pytest.raises(OutsideSupportError, match="no disk fixed point"):
+        disk_fixed_point(ModelParams(2, t, edge_phi))
+    got = kappa_curve(t, 2, [1.0, 2.0, edge_phi])
+    want = kappa_curve(t, 2, [1.0, 2.0])
+    for pt, ref in zip(got[:2], want):
+        assert _bits(pt.phi, pt.w_disk, pt.chi, pt.kappa) == _bits(ref.phi, ref.w_disk, ref.chi, ref.kappa)
+        assert pt.in_support == ref.in_support
+    edge = got[2]
+    assert edge.phi == edge_phi and edge.in_support and edge.w_disk is None
+    assert math.isnan(edge.chi) and math.isnan(edge.kappa)
 
 
 def test_spectral_report_fields():

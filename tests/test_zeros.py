@@ -68,7 +68,7 @@ def test_edges_match_counts():
 def test_iterated_lift_winding_is_integer():
     tree = TreeSpec("full", 4, 2)
     phis = np.linspace(-math.pi, math.pi, 50)
-    psi, wind = iterated_lift(phis, tree, 0.55)
+    psi, wind, _ = iterated_lift(phis, tree, 0.55)
     assert np.all(wind == np.round(wind))
     assert np.all((psi > -math.pi) & (psi <= math.pi))
     # total winding over one period equals the vertex count
@@ -85,8 +85,8 @@ def test_degree_identity_randomized():
         t = float(rng.uniform(0.0, 0.9))
         tree = TreeSpec("rooted", n, k)
         phis = rng.uniform(-math.pi, math.pi, 32)
-        p1, w1 = iterated_lift(phis, tree, t)
-        p2, w2 = iterated_lift(phis + 2 * math.pi, tree, t)
+        p1, w1, _ = iterated_lift(phis, tree, t)
+        p2, w2, _ = iterated_lift(phis + 2 * math.pi, tree, t)
         gap = (p2 - p1) + 2 * math.pi * (w2 - w1)
         assert np.max(np.abs(gap / (2 * math.pi * tree.vertex_count) - 1.0)) <= 1e-9
 
@@ -95,7 +95,7 @@ def test_monotonicity_in_phi():
     rng = np.random.default_rng(23)
     tree = TreeSpec("rooted", 6, 2)
     phis = rng.uniform(-math.pi, math.pi, 500)
-    _, _, deriv = iterated_lift(phis, tree, 0.7, derivative=True)
+    _, _, deriv = iterated_lift(phis, tree, 0.7)
     assert np.min(deriv) >= 1.0
 
 
@@ -274,7 +274,7 @@ def test_zero_at_minus_one_is_pi(level, k, t):
 
 
 def test_winding_is_int64_and_guarded():
-    _, wind = iterated_lift(np.linspace(-3.0, 3.0, 7), TreeSpec("rooted", 36, 3), 0.5)
+    _, wind, _ = iterated_lift(np.linspace(-3.0, 3.0, 7), TreeSpec("rooted", 36, 3), 0.5)
     assert wind.dtype == np.int64
     iterated_lift(0.5, TreeSpec("rooted", 61, 2), 0.5)  # 2^62 - 1 vertices
     with pytest.raises(ValueError, match="2\\^62"):
@@ -302,9 +302,9 @@ def test_enumerate_rejects_nan_tol():
 
 def test_iterated_lift_keeps_input_shape():
     tree = TreeSpec("full", 3, 3)
-    expected = iterated_lift(np.array([0.7]), tree, 0.5, derivative=True)
+    expected = iterated_lift(np.array([0.7]), tree, 0.5)
     for phi in (0.7, np.float64(0.7), np.array(0.7), np.full((2, 3), 0.7)):
-        out = iterated_lift(phi, tree, 0.5, derivative=True)
+        out = iterated_lift(phi, tree, 0.5)
         for got, want in zip(out, expected):
             assert np.shape(got) == np.shape(phi)
             assert np.all(got == want[0])
@@ -391,7 +391,7 @@ def test_iterated_lift_matches_theta_form(tree, t, phis):
     does not land within that distance of the seam; enumeration on two
     threads is byte-identical to one."""
     phi = np.array(_SEAM_PHIS + phis)
-    psi, wind, deriv = iterated_lift(phi, tree, t, derivative=True)
+    psi, wind, deriv = iterated_lift(phi, tree, t)
     ref_psi, ref_wind = theta_form_lift(phi, tree, t)
     tol = 64.0 * np.finfo(float).eps * deriv
     gap = (psi - ref_psi) + TAU * (wind - ref_wind)
