@@ -8,10 +8,9 @@ the benchmark's tracer (perfbench/tracing.py) hooks by name.
 import ast
 from pathlib import Path
 
-import cayley_ising
-
-PACKAGE = Path(cayley_ising.__file__).parent
-TRACER = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cayley_ising"
+TRACER = ROOT / "perfbench" / "tracing.py"
 
 
 def _public_definitions(tree):
