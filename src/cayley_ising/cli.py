@@ -41,11 +41,14 @@ def _parse_t(text: str):
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """start:stop:step inclusive grid."""
+    """start:stop:step inclusive grid of finite parts."""
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"grid must be start:stop:step, got {text!r}") from exc
+    for part, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"grid {text!r} has a non-finite {part}: {value}")
     if step <= 0 or stop < start:
         raise ConfigError(f"bad grid {text!r}")
     span = (stop - start) / step + 1e-9

@@ -124,7 +124,6 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class FixedPointSet:
-    params: ModelParams
     roots: tuple[FixedPoint, ...]
 
     def disk_root(self):
@@ -209,7 +208,7 @@ def fixed_points(p: ModelParams) -> FixedPointSet:
     """
     (row,) = _sorted_roots(p.t, p.k, [p.z])
     pts = tuple(FixedPoint(w, _location(w), complex(map_derivative(w, p))) for w in row)
-    return FixedPointSet(p, pts)
+    return FixedPointSet(pts)
 
 
 def disk_fixed_points(t: float, k: int, phis) -> list[complex | None]:

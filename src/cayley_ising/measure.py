@@ -59,13 +59,14 @@ def symmetric_mass(phi: float, zeta, em: EmpiricalMeasure):
     """Mass of [phi-zeta, phi+zeta] clipped to the period, vectorized in zeta
     (any shape): one counts call, which lifts each distinct end angle once.
 
-    phi must be finite and zeta free of NaN (zeta = inf is the whole period);
-    otherwise ValueError."""
+    phi must be finite and every zeta non-negative, NaN refused (zeta = inf
+    is the whole period); otherwise ValueError."""
     if not math.isfinite(phi):
         raise ValueError(f"symmetric_mass needs a finite centre, got phi = {phi}")
     zeta = np.asarray(zeta, dtype=float)
-    if np.isnan(zeta).any():
-        raise ValueError("symmetric_mass got zeta = nan; radii must not be NaN")
+    bad = zeta[~(zeta >= 0.0)]
+    if bad.size:
+        raise ValueError(f"symmetric_mass got zeta = {bad[0]}; radii must be non-negative")
     lo = np.clip(phi - zeta, -math.pi, math.pi)
     hi = np.clip(phi + zeta, -math.pi, math.pi)
     # nested radii (a quadrature's panels for several y, radii past the

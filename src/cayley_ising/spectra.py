@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,20 +87,6 @@ def lyapunov_acim_closed(p: ModelParams) -> float:
 def _chi_acim(w: complex, t: float, k: int) -> float:
     """log(k(1-t^2)/|1+w t|^2) at the disk fixed point w."""
     return math.log(k * (1.0 - t * t) / abs(1.0 + w * t) ** 2)
-
-
-def lyapunov_acim_alt(p: ModelParams) -> float:
-    """Alternative closed form 2*pi*log|k(1-t^2) w (1-wt) / ((w+t)(1+wt)(t-w))|.
-
-    Retained for comparison only: it fails both chi(t=0) = log k and
-    chi < log k, so the Jensen-derived form above is the one used
-    everywhere; the Birkhoff estimator adjudicates between them.
-    """
-    w = disk_fixed_point(p)
-    t, k = p.t, p.k
-    num = k * (1.0 - t * t) * w * (1.0 - w * t)
-    den = (w + t) * (1.0 + w * t) * (t - w)
-    return TAU * math.log(abs(num / den))
 
 
 def birkhoff_exponents(
@@ -200,7 +186,6 @@ def birkhoff_exponents(
 class MmeEstimate:
     value: float
     stderr: float
-    depth: int
     level_means: tuple[float, ...]
 
 
@@ -243,7 +228,7 @@ def lyapunov_mme(p: ModelParams, depth: int = 16) -> MmeEstimate:
     means = np.array(level_means)
     value = float(means.mean())
     stderr = float(means.std(ddof=1) / math.sqrt(len(means)))
-    return MmeEstimate(value, stderr, depth, tuple(level_means))
+    return MmeEstimate(value, stderr, tuple(level_means))
 
 
 # ---------------------------------------------------------------------------
@@ -337,50 +322,30 @@ class SpectralReport:
     chi_mme: float
     chi_mme_stderr: float
     kappa: float
-    dim_pointwise: DimensionFit | None = None
-    diagnostics: dict = field(default_factory=dict)
+    dim_pointwise: DimensionFit
+    diagnostics: dict
 
     def to_dict(self) -> dict:
-        doc = {
-            "schema_version": 1,
-            "phi": self.phi,
-            "t": self.t,
-            "k": self.k,
-            "chi_acim_closed": self.chi_acim_closed,
-            "chi_acim_birkhoff": self.chi_acim_birkhoff,
-            "chi_acim_birkhoff_stderr": self.chi_acim_birkhoff_stderr,
-            "chi_mme": self.chi_mme,
-            "chi_mme_stderr": self.chi_mme_stderr,
-            "kappa": self.kappa,
-            "diagnostics": self.diagnostics,
-        }
-        if self.dim_pointwise is not None:
-            doc["dim_pointwise"] = {
-                "value": self.dim_pointwise.value,
-                "r_squared": self.dim_pointwise.r_squared,
-                "scales": list(self.dim_pointwise.scales),
-                "masses": list(self.dim_pointwise.masses),
-                "level": self.dim_pointwise.level,
-            }
-        return doc
+        return {"schema_version": 1, **asdict(self)}
 
 
 def spectral_report(
     p: ModelParams,
     mme_depth: int = 16,
-    dim_level: int | None = 20,
+    dim_level: int = 20,
     birkhoff_steps: int = 1_000_000,
     n_seeds: int = 32,
     seed: int = 0,
 ) -> SpectralReport:
     """Assemble every spectral estimate at one parameter point."""
     chi_closed = lyapunov_acim_closed(p)
-    # the pullback first: it refuses a bad depth before the long Birkhoff run
+    # the pullback and the fit first: they refuse a bad depth or level
+    # before the long Birkhoff run
     mme = lyapunov_mme(p, depth=mme_depth)
+    dim = pointwise_dimension(p.phi, p.t, p.k, level=dim_level)
     means, errs = birkhoff_exponents(
         [p.phi], [p.t], p.k, n_steps=birkhoff_steps, n_seeds=n_seeds, seed=seed
     )
-    dim = pointwise_dimension(p.phi, p.t, p.k, level=dim_level) if dim_level else None
     return SpectralReport(
         phi=p.phi,
         t=p.t,
@@ -393,7 +358,6 @@ def spectral_report(
         kappa=math.log(p.k) / chi_closed,
         dim_pointwise=dim,
         diagnostics={
-            "chi_acim_alt_form": lyapunov_acim_alt(p),
             "mme_level_means": list(mme.level_means),
             "hd_mme_upper": math.log(p.k) / mme.value,
         },

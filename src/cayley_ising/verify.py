@@ -287,12 +287,12 @@ def check_counting(quick: bool) -> CheckResult:
     for k in (2, 3):
         for n in range(0, 5 if quick else 7):
             tree = zeros.TreeSpec("rooted", n, k)
-            if zeros.zero_count(tree) != (k ** (n + 1) - 1) // (k - 1):
+            if tree.vertex_count != (k ** (n + 1) - 1) // (k - 1):
                 ok = False
             if n >= 1:
                 ftree = zeros.TreeSpec("full", n, k)
                 expected = 1 + (k + 1) * ((k**n - 1) // (k - 1))
-                if zeros.zero_count(ftree) != expected:
+                if ftree.vertex_count != expected:
                     ok = False
                 if n <= 4 and len(zeros.enumerate_zeros(ftree, 0.3)) != expected:
                     ok = False

@@ -75,6 +75,7 @@ class TreeSpec:
 
     @property
     def vertex_count(self) -> int:
+        """Number of vertices, which is the number of Lee-Yang zeros."""
         k, n = self.k, self.level
         rooted = (k ** (n + 1) - 1) // (k - 1)
         if self.variant == "rooted":
@@ -111,11 +112,6 @@ class TreeSpec:
                 queue.append((next_id, depth - 1))
                 next_id += 1
         return out
-
-
-def zero_count(tree: TreeSpec) -> int:
-    """Number of Lee-Yang zeros = number of vertices."""
-    return tree.vertex_count
 
 
 def _wrap_angle(theta):
@@ -349,7 +345,7 @@ def enumerate_zeros(
     _validate_t(t)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    n_zeros = zero_count(tree)
+    n_zeros = tree.vertex_count
     if n_zeros > MAX_ZEROS:
         raise ValueError(f"{n_zeros} zeros exceed the enumeration cap of {MAX_ZEROS}")
     m = np.arange(n_zeros // 2, dtype=np.int64)

@@ -19,7 +19,7 @@ from cayley_ising.core import ModelParams, critical_temperature, json_text, phi_
 from cayley_ising.measure import cdf_distance_rooted_full
 from cayley_ising.partition import partition_poly_recursive
 from cayley_ising.spectra import birkhoff_exponents, lyapunov_acim_closed, pointwise_dimension
-from cayley_ising.zeros import TreeSpec, enumerate_zeros, iterated_lift, zero_count
+from cayley_ising.zeros import TreeSpec, enumerate_zeros, iterated_lift
 
 LOG2 = math.log(2.0)
 
@@ -53,10 +53,10 @@ def test_criterion_03_counting():
     """
     for k in (2, 3):
         for n in range(0, 7):
-            assert zero_count(TreeSpec("rooted", n, k)) == (k ** (n + 1) - 1) // (k - 1)
+            assert TreeSpec("rooted", n, k).vertex_count == (k ** (n + 1) - 1) // (k - 1)
             if n >= 1:
                 corrected = 1 + (k + 1) * ((k**n - 1) // (k - 1))
-                assert zero_count(TreeSpec("full", n, k)) == corrected
+                assert TreeSpec("full", n, k).vertex_count == corrected
                 psi_lo, w_lo, _ = iterated_lift(np.array(-math.pi), TreeSpec("full", n, k), 0.3)
                 psi_hi, w_hi, _ = iterated_lift(np.array(math.pi), TreeSpec("full", n, k), 0.3)
                 winding = (psi_hi - psi_lo) / (2 * math.pi) + (w_hi - w_lo)

@@ -79,6 +79,20 @@ def test_grid_cap_refuses_before_allocating(tmp_path, capsys):
     assert not (tmp_path / "pe.csv").exists()
 
 
+@pytest.mark.parametrize("args, part", [
+    (["phi-e", "--k", 2, "--t-grid", "nan:0.9:0.1"], "start"),
+    (["spectra", "--k", 2, "--t", "0.2", "--phi-grid", "0:inf:0.1"], "stop"),
+    (["free-energy", "--k", 2, "--t", "0.5", "--mode", "radial", "--r-grid", "0.5:2.0:inf"], "step"),
+    (["free-energy", "--k", 2, "--t", "0.5", "--mode", "radial", "--r-grid", "0.5:2.0:nan"], "step"),
+], ids=["t-grid", "phi-grid", "r-grid-inf", "r-grid-nan"])
+def test_grid_refuses_non_finite_parts(tmp_path, capsys, args, part):
+    # an infinite step once gave a one-point NaN grid and an empty CSV
+    out = tmp_path / "grid.csv"
+    assert run(args + ["--out", out]) == 1
+    assert f"non-finite {part}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_measure_outputs(tmp_path):
     cdf = tmp_path / "cdf.csv"
     assert run(["measure", "--k", 2, "--n", 6, "--t", "0.5", "--kind", "cdf", "--grid", 101, "--out", cdf]) == 0
@@ -107,20 +121,23 @@ def test_spectra_json(tmp_path):
     ])
     assert code == 0
     doc = load_report(out)
+    # the schema lists exactly the fields the report writes
+    assert set(report_schema()["$defs"]["spectral_report"]["properties"]) == set(doc)
     assert doc["chi_acim_closed"] == pytest.approx(0.6238107163648711)
 
 
-def test_spectra_refuses_zero_birkhoff_steps(tmp_path):
+@pytest.mark.parametrize("flag, value, reason", [
     # zero steps would average to NaN, which json.dump writes as invalid JSON
-    out = tmp_path / "r.json"
-    assert run(["spectra", "--k", 2, "--t", "0.2", "--phi", 0, "--birkhoff-steps", 0, "--out", out]) == 1
-    assert not out.exists()
-
-
-def test_spectra_refuses_mme_depth_1(tmp_path):
+    ("--birkhoff-steps", 0, "need n_steps >= 1"),
     # one level mean has no spread: its stderr was written as Infinity
+    ("--mme-depth", 1, "depth must be >= 2"),
+    # level 0 leaves no scale for the dimension fit, which was once skipped
+    ("--dim-level", 0, "fewer than three usable scales"),
+], ids=["birkhoff-steps-0", "mme-depth-1", "dim-level-0"])
+def test_spectra_refuses(tmp_path, capsys, flag, value, reason):
     out = tmp_path / "r.json"
-    assert run(["spectra", "--k", 2, "--t", "0.2", "--phi", 0, "--mme-depth", 1, "--out", out]) == 1
+    assert run(["spectra", "--k", 2, "--t", "0.2", "--phi", 0, flag, value, "--out", out]) == 1
+    assert reason in capsys.readouterr().err
     assert not out.exists()
 
 

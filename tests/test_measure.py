@@ -215,3 +215,6 @@ def test_symmetric_mass_rejects_nan_centre():
 def test_symmetric_mass_rejects_nan_radius():
     with pytest.raises(ValueError, match="zeta = nan"):
         symmetric_mass(0.1, [math.nan], em(n=4, t=0.4))
+    # a negative radius gave minus the mass at the positive one
+    with pytest.raises(ValueError, match="zeta = -0.1"):
+        symmetric_mass(1.0, -0.1, em(n=4, t=0.4))

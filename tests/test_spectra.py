@@ -25,7 +25,6 @@ from cayley_ising.spectra import (
     birkhoff_exponents,
     disk_fixed_point,
     kappa_curve,
-    lyapunov_acim_alt,
     lyapunov_acim_closed,
     lyapunov_mme,
     pointwise_dimension,
@@ -55,14 +54,6 @@ def test_chi_closed_from_jensen_pieces():
     mult = p.z * k * (w + t) ** (k - 1) * (1 - t * t) / (1 + w * t) ** (k + 1)
     pieces = math.log(abs(mult)) + (k - 1) * math.log(abs((1 + t * w) / (w + t)))
     assert lyapunov_acim_closed(p) == pytest.approx(pieces, abs=1e-12)
-
-
-def test_chi_alt_form_is_rejected_normalization():
-    # the alternative closed form fails chi < log k, which is why the
-    # Jensen-derived one is used; keep its value pinned as documentation
-    alt = lyapunov_acim_alt(ModelParams(2, 0.2, 0.0))
-    assert alt == pytest.approx(8.460484379522588, rel=1e-10)
-    assert alt > LOG2  # violates the strict ACIM bound
 
 
 def test_chi_continuity_in_phi():
@@ -405,4 +396,3 @@ def test_spectral_report_fields():
     assert doc["chi_acim_closed"] == pytest.approx(0.6238107163648711, abs=1e-12)
     assert doc["chi_mme"] > LOG2 > doc["chi_acim_closed"]
     assert doc["kappa"] == pytest.approx(LOG2 / doc["chi_acim_closed"])
-    assert "chi_acim_alt_form" in doc["diagnostics"]

@@ -17,7 +17,6 @@ from cayley_ising.zeros import (
     enumerate_zeros,
     iterated_lift,
     min_positive_zero,
-    zero_count,
 )
 
 
@@ -43,18 +42,17 @@ def test_tree_spec_validation():
 
 
 def test_vertex_counts():
-    assert zero_count(TreeSpec("rooted", 2, 2)) == 7
-    assert zero_count(TreeSpec("rooted", 1, 3)) == 4
-    assert zero_count(TreeSpec("rooted", 2, 3)) == 13  # 9 + 3 + 1
-    assert zero_count(TreeSpec("full", 1, 2)) == 4
+    assert TreeSpec("rooted", 2, 2).vertex_count == 7
+    assert TreeSpec("rooted", 1, 3).vertex_count == 4
+    assert TreeSpec("rooted", 2, 3).vertex_count == 13  # 9 + 3 + 1
+    assert TreeSpec("full", 1, 2).vertex_count == 4
     # center + (k+1) rooted subtrees of level n-1
-    assert zero_count(TreeSpec("full", 2, 2)) == 1 + 3 * 3
-    assert zero_count(TreeSpec("full", 3, 2)) == 1 + 3 * 7
+    assert TreeSpec("full", 2, 2).vertex_count == 1 + 3 * 3
+    assert TreeSpec("full", 3, 2).vertex_count == 1 + 3 * 7
     for k in (2, 3, 4):
         for n in range(1, 6):
-            assert zero_count(TreeSpec("full", n, k)) == 1 + (k + 1) * zero_count(
-                TreeSpec("rooted", n - 1, k)
-            )
+            rooted = TreeSpec("rooted", n - 1, k).vertex_count
+            assert TreeSpec("full", n, k).vertex_count == 1 + (k + 1) * rooted
 
 
 def test_edges_match_counts():
@@ -120,11 +118,11 @@ def test_enumerate_counts_and_symmetry():
         for t in (0.3, 0.62):
             tree = TreeSpec(variant, 7, 2)
             zs = enumerate_zeros(tree, t)
-            assert len(zs) == zero_count(tree)
+            assert len(zs) == tree.vertex_count
             assert np.all(np.diff(zs.angles) > 0)
             # the negated multiset equals the original as circle points
             assert circular_set_distance(-zs.angles, zs.angles) <= 1e-10
-            if zero_count(tree) % 2 == 1:
+            if tree.vertex_count % 2 == 1:
                 assert zs.angles[-1] == math.pi
 
 
@@ -236,7 +234,7 @@ def test_enumeration_properties(tree, t, seed):
     staircase of the enumerated zeros, at any t; strict order where float64
     resolves neighbouring zeros."""
     zs = enumerate_zeros(tree, t)
-    count = zero_count(tree)
+    count = tree.vertex_count
     assert_mirror_exact(zs.angles, count)
     assert np.all(np.diff(zs.angles) >= 0)
     if t <= 0.8:
@@ -262,7 +260,7 @@ def test_high_t_solves_close(variant, level, k, t):
     the solve raised: all |V| angles come back, mirror-exact."""
     tree = TreeSpec(variant, level, k)
     zs = enumerate_zeros(tree, t)
-    assert_mirror_exact(zs.angles, zero_count(tree))
+    assert_mirror_exact(zs.angles, tree.vertex_count)
     assert np.all(np.diff(zs.angles) >= 0)
 
 
@@ -285,7 +283,7 @@ def test_winding_is_int64_and_guarded():
 
 def test_enumeration_cap_refuses_before_allocating():
     tree = TreeSpec("rooted", 30, 2)
-    assert zero_count(tree) > MAX_ZEROS
+    assert tree.vertex_count > MAX_ZEROS
     with pytest.raises(ValueError, match="cap"):
         enumerate_zeros(tree, 0.5)
 
