@@ -58,13 +58,13 @@ def _parse_grid(text: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _open_out(path):
-    if path is None:
-        raise ConfigError("--out is required for this subcommand")
+def _check_out(path: str) -> None:
+    """Refuse an output path that cannot be written: empty, or in a missing directory."""
+    if not path:
+        raise ConfigError("--out must not be empty")
     parent = os.path.dirname(os.path.abspath(path))
-    if parent and not os.path.isdir(parent):
+    if not os.path.isdir(parent):
         raise ConfigError(f"output directory {parent} does not exist")
-    return path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,9 +137,8 @@ def _cmd_zeros(args) -> int:
     t = _parse_t(args.t)
     tree = zeros.TreeSpec(args.tree, args.n, args.k)
     zs = zeros.enumerate_zeros(tree, float(t), tol=args.tol, workers=args.workers)
-    path = _open_out(args.out)
     if args.format == "csv":
-        zs.write_csv(path)
+        zs.write_csv(args.out)
     else:
         doc = {
             "schema_version": 1,
@@ -150,43 +149,40 @@ def _cmd_zeros(args) -> int:
             "angles": [float(a) for a in zs.angles],
             "residuals": [float(r) for r in zs.residuals],
         }
-        core.write_json(path, doc)
-    print(f"wrote {len(zs)} zeros to {path}")
+        core.write_json(args.out, doc)
+    print(f"wrote {len(zs)} zeros to {args.out}")
     return 0
 
 
 def _cmd_measure(args) -> int:
     t = float(_parse_t(args.t))
     em = measure.EmpiricalMeasure(zeros.TreeSpec(args.tree, args.n, args.k), t)
-    path = _open_out(args.out)
     if args.kind == "cdf":
-        measure.write_cdf_csv(path, em, grid=args.grid)
+        measure.write_cdf_csv(args.out, em, grid=args.grid)
     else:
-        measure.write_histogram_csv(path, em, bins=args.bins)
-    print(f"wrote {args.kind} for N={em.total} zeros to {path}")
+        measure.write_histogram_csv(args.out, em, bins=args.bins)
+    print(f"wrote {args.kind} for N={em.total} zeros to {args.out}")
     return 0
 
 
 def _cmd_phi_e(args) -> int:
     grid = _parse_grid(args.t_grid)
     tc = core.critical_temperature(args.k)
-    path = _open_out(args.out)
     outside = grid[(grid < tc) | (grid > 1.0)]
     if outside.size:
         raise ConfigError(f"phi-e needs t in [t_c, 1] = [{tc}, 1], got {outside[0]}")
-    core.write_csv(path, ("t", "phi_e"), ((t, core.phi_e(float(t), args.k)) for t in grid))
-    print(f"wrote {len(grid)} curve points to {path}")
+    core.write_csv(args.out, ("t", "phi_e"), ((t, core.phi_e(float(t), args.k)) for t in grid))
+    print(f"wrote {len(grid)} curve points to {args.out}")
     return 0
 
 
 def _cmd_spectra(args) -> int:
     t = float(_parse_t(args.t))
-    path = _open_out(args.out)
     if args.phi_grid is not None:
         phis = _parse_grid(args.phi_grid)
         points = spectra.kappa_curve(t, args.k, phis)
-        spectra.write_kappa_csv(path, points)
-        print(f"wrote kappa curve ({len(points)} points) to {path}")
+        spectra.write_kappa_csv(args.out, points)
+        print(f"wrote kappa curve ({len(points)} points) to {args.out}")
         return 0
     p = core.ModelParams(args.k, t, args.phi)
     report = spectra.spectral_report(
@@ -197,34 +193,33 @@ def _cmd_spectra(args) -> int:
         n_seeds=args.seeds,
         seed=args.seed,
     )
-    core.write_json(path, report.to_dict())
-    print(f"wrote spectral report to {path}")
+    core.write_json(args.out, report.to_dict())
+    print(f"wrote spectral report to {args.out}")
     return 0
 
 
 def _cmd_free_energy(args) -> int:
     t = float(_parse_t(args.t))
-    path = _open_out(args.out)
     if args.mode == "radial":
         radii = _parse_grid(args.r_grid)
         radii = radii[np.abs(radii - 1.0) > 1e-6]
         rows = free_energy.radial_scan(args.phi, t, args.k, args.n, radii)
-        free_energy.write_radial_csv(path, rows)
-        print(f"wrote radial scan ({len(rows)} points) to {path}")
+        free_energy.write_radial_csv(args.out, rows)
+        print(f"wrote radial scan ({len(rows)} points) to {args.out}")
         return 0
     if args.mode == "report":
         z = args.radius * complex(math.cos(args.phi), math.sin(args.phi))
         rep = free_energy.free_energy_report(z, t, args.k, args.n)
-        core.write_json(path, rep.to_dict())
-        print(f"wrote free-energy report to {path}")
+        core.write_json(args.out, rep.to_dict())
+        print(f"wrote free-energy report to {args.out}")
         return 0
     fit = free_energy.singular_exponent(
         args.phi, t, args.k, n=args.n, delta0=args.delta0, kappa_prior=args.kappa_prior
     )
-    free_energy.write_singular_csv(path, fit)
+    free_energy.write_singular_csv(args.out, fit)
     print(
         f"kappa = {fit.kappa:.6f} (m = {fit.m_order}, R^2 = {fit.r_squared:.5f}, "
-        f"stable = {fit.stable}); wrote fit to {path}"
+        f"stable = {fit.stable}); wrote fit to {args.out}"
     )
     return 0
 
@@ -232,8 +227,8 @@ def _cmd_free_energy(args) -> int:
 def _cmd_verify(args) -> int:
     report = verify.run_verification(seed=args.seed, quick=args.quick)
     text = core.json_text(report)
-    if args.out:
-        core.write_json(_open_out(args.out), report)
+    if args.out is not None:
+        core.write_json(args.out, report)
     digest = hashlib.sha256(text.encode()).hexdigest()
     for name, entry in report["checks"].items():
         print(f"{'PASS' if entry['passed'] else 'FAIL'} {name}")
@@ -263,6 +258,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags; the contract says 1 for bad config
         return 0 if exc.code == 0 else 1
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)

@@ -96,10 +96,9 @@ def free_energy_recursive(z: complex, t: float, k: int, n: int) -> float:
 
 
 def magnetization(z: complex, t: float, k: int, n: int) -> complex:
-    """M(z) = -4z * mean(1/(z - zeta_i)) + 2; defined off the zero support."""
+    """M(z) = -4z * mean(1/(z - zeta_i)) + 2; defined off the zero support.
+    M(0) = 2 exactly, from the same formula and its validation."""
     _require_finite_z(z)
-    if z == 0:
-        return complex(2.0)
     atoms = _cached_angles(n, k, t)
     dist = np.abs(z - atoms)
     if np.min(dist) < 1e-9:

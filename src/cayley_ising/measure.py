@@ -98,8 +98,6 @@ def max_gap(em: EmpiricalMeasure) -> float:
 
 def cdf_distance_rooted_full(k: int, n: int, t: float, grid: int = 10_000) -> float:
     """Sup-norm distance between the rooted and full level-n CDFs on a uniform grid."""
-    if n < 1:
-        raise ValueError("the full tree requires level >= 1")
     if grid < 1:
         raise ValueError(f"CDF grid needs at least one point, got {grid}")
     phis = np.linspace(-math.pi, math.pi, grid)

@@ -107,12 +107,16 @@ def partition_poly_bruteforce(tree: TreeSpec, t) -> PartitionPolynomial:
     memory stays O(_CHUNK |V|) whatever |V| is; the t-powers are applied
     exactly afterwards.
     """
-    n_v = tree.vertex_count
-    if n_v > MAX_BRUTEFORCE_VERTICES:
-        raise ValueError(f"brute force is capped at {MAX_BRUTEFORCE_VERTICES} vertices, tree has {n_v}")
+    if tree.vertex_count > MAX_BRUTEFORCE_VERTICES:
+        raise ValueError(
+            f"brute force is capped at {MAX_BRUTEFORCE_VERTICES} vertices, tree has {tree.vertex_count}"
+        )
     t = _exact_t(t)
+    # the sum reads only its own edge list, never the step schedule, so a
+    # wrong schedule shows as a mismatch with the recursion
     edges = tree.edges()
     n_e = len(edges)
+    n_v = n_e + 1
     base = np.arange(min(_CHUNK, 1 << n_v), dtype=np.uint32)
     hist = np.zeros((n_v + 1) * (n_e + 1), dtype=np.int64)
     for start in range(0, 1 << n_v, base.size):

@@ -75,13 +75,12 @@ class TreeSpec:
 
     @property
     def vertex_count(self) -> int:
-        """Number of vertices, which is the number of Lee-Yang zeros."""
-        k, n = self.k, self.level
-        rooted = (k ** (n + 1) - 1) // (k - 1)
-        if self.variant == "rooted":
-            return rooted
-        # center joined to k+1 rooted subtrees of level n-1
-        return 1 + (k + 1) * ((k**n - 1) // (k - 1))
+        """Number of vertices, which is the number of Lee-Yang zeros: folded
+        from the step schedule, leaves first, as 1 + s * (count below)."""
+        count = 1
+        for s in self.steps:
+            count = 1 + s * count
+        return count
 
     @property
     def steps(self) -> tuple[int, ...]:
@@ -336,8 +335,9 @@ def enumerate_zeros(
     tol : angular residual tolerance; each returned angle satisfies
         |F_m(phi)| <= tol, and since F_m' >= 1 this bounds |phi - phi_m|
         up to the rounding of F_m.
-    workers : number of threads for the chunked branch solves (each branch
-        is solved on its own; the output does not depend on it).
+    workers : number of threads (>= 1, None for one) for the chunked branch
+        solves; each branch is solved on its own, so the output does not
+        depend on it.
 
     Only the |V|//2 zeros in (0, pi) are solved; the rest are their mirror
     images and, for odd |V|, exactly pi.
@@ -345,6 +345,8 @@ def enumerate_zeros(
     _validate_t(t)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n_zeros = tree.vertex_count
     if n_zeros > MAX_ZEROS:
         raise ValueError(f"{n_zeros} zeros exceed the enumeration cap of {MAX_ZEROS}")

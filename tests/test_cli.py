@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cayley_ising
+from cayley_ising import cli, free_energy
 from cayley_ising.cli import main
 
 
@@ -54,6 +55,27 @@ def test_exit_codes(tmp_path):
     assert run(["nonsense"]) == 1
     assert run(["zeros", "--k", 2, "--n", 3, "--t", "1/0", "--out", tmp_path / "x.csv"]) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the computation ran before the output path was checked")
+
+
+@pytest.mark.parametrize("target, args", [
+    ((cli.zeros, "enumerate_zeros"), ["zeros", "--k", 2, "--n", 18, "--t", "0.5"]),
+    ((cli.verify, "run_verification"), ["verify", "--quick"]),
+], ids=["zeros", "verify"])
+@pytest.mark.parametrize("out, reason", [
+    ("", "--out must not be empty"),
+    ("missing/r.out", "does not exist"),
+], ids=["empty", "missing-dir"])
+def test_out_path_refused_before_work(tmp_path, monkeypatch, capsys, target, args, out, reason):
+    # zeros once enumerated 524287 zeros before refusing the path, and
+    # verify --out "" passed while writing nothing
+    monkeypatch.setattr(*target, _unreachable)
+    path = str(tmp_path / out) if out else out
+    assert run(args + ["--out", path]) == 1
+    assert reason in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -190,3 +212,16 @@ def test_readme_singular_example(tmp_path, capsys):
     kappa = float(capsys.readouterr().out.split("kappa = ")[1].split()[0])
     paper = math.log(2.0) / math.log(4.0 / 3.0)
     assert abs(kappa - paper) <= 0.15 * paper
+
+
+def test_free_energy_kappa_prior(tmp_path, capsys):
+    # the README singular example with a prior of 1.0, which sets the order
+    # m = 0 where the default's own estimate gives m = 1
+    out, lib = tmp_path / "hsing.csv", tmp_path / "lib.csv"
+    assert run(["free-energy", "--k", 2, "--t", "0.2", "--n", 36, "--phi", "0.0",
+                "--mode", "singular", "--delta0", 1.2, "--kappa-prior", 1.0, "--out", out]) == 0
+    assert "(m = 0," in capsys.readouterr().out
+    free_energy.write_singular_csv(
+        lib, free_energy.singular_exponent(0.0, 0.2, 2, n=36, delta0=1.2, kappa_prior=1.0)
+    )
+    assert out.read_bytes() == lib.read_bytes()

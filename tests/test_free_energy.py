@@ -116,6 +116,14 @@ def test_order_from_kappa_refuses_non_finite(kappa):
         order_from_kappa(kappa)
 
 
+@pytest.mark.parametrize("z", [0.0, 2.0])
+@pytest.mark.parametrize("t, k, n", [(7.0, 2, 6), (math.nan, 2, 6), (0.5, 1, 6), (0.5, 2, -5), (7.0, 1, -5)])
+def test_magnetization_validates_at_every_z(z, t, k, n):
+    # z = 0 once returned 2 without looking at t, k or n
+    with pytest.raises(ValueError):
+        magnetization(z, t, k, n)
+
+
 @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(0.5, math.nan), math.inf])
 def test_free_energy_refuses_non_finite_z(z):
     for route in (free_energy_electrostatic, free_energy_recursive, magnetization):

@@ -55,6 +55,27 @@ def test_vertex_counts():
             assert TreeSpec("full", n, k).vertex_count == 1 + (k + 1) * rooted
 
 
+_STEPS = TreeSpec.steps.fget
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda tree: _STEPS(tree)[1:] if tree.variant == "rooted" else _STEPS(tree),
+    lambda tree: _STEPS(tree)[:-1] + (tree.k,) if tree.variant == "full" else _STEPS(tree),
+], ids=["rooted-one-level-short", "full-centre-k-children"])
+def test_a_wrong_schedule_fails_criteria_2_and_3(monkeypatch, mutant):
+    # every count but the edges reads the schedule, so a wrong one must show
+    # on exactly the trees whose schedule it changes; the brute force sums
+    # over its own edge list, so it reports a mismatch instead of failing
+    trees = [TreeSpec(variant, n, k) for k in (2, 3) for n in range(5) for variant in ("rooted", "full")
+             if variant == "rooted" or n >= 1]
+    affected = [tree for tree in trees if mutant(tree) != _STEPS(tree)]
+    assert affected
+    monkeypatch.setattr(TreeSpec, "steps", property(mutant))
+    assert verify.zero_counts((2, 3), range(5), 0.3) == affected
+    _, mismatches, _ = verify.recursion_vs_bruteforce(16)
+    assert mismatches and all(mutant(tree) != _STEPS(tree) for tree in mismatches)
+
+
 def test_edges_match_counts():
     for spec in (TreeSpec("rooted", 3, 2), TreeSpec("full", 2, 3), TreeSpec("rooted", 1, 5)):
         edges = spec.edges()
@@ -296,6 +317,13 @@ def test_iterated_lift_rejects_non_finite_angles():
 def test_enumerate_rejects_nan_tol():
     with pytest.raises(ValueError, match="got nan"):
         enumerate_zeros(TreeSpec("rooted", 4, 2), 0.5, tol=math.nan)
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_enumerate_rejects_workers_below_one(workers):
+    # these once ran silently on one thread
+    with pytest.raises(ValueError, match=f"got {workers}"):
+        enumerate_zeros(TreeSpec("rooted", 4, 2), 0.5, workers=workers)
 
 
 def test_iterated_lift_keeps_input_shape():
