@@ -47,6 +47,10 @@ _MIN_CHUNK = 1 << 12
 
 # int64 winding is exact while |V| stays below this
 MAX_VERTICES = 1 << 62
+# deepest tree accepted: a deeper one has |V| >= 2^(level+1) - 1 vertices,
+# more than a float holds (the free energy divides by |V|) and far past the
+# other caps, so refusing it keeps the step schedule and its fold small
+MAX_LEVEL = 1022
 # enumerate_zeros refuses trees with more zeros than this: the solve holds
 # about 35 bytes per zero at its peak on large trees, 0.6 GB at the cap
 MAX_ZEROS = 1 << 24
@@ -68,8 +72,8 @@ class TreeSpec:
         if self.variant not in ("rooted", "full"):
             raise ValueError(f"variant must be 'rooted' or 'full', got {self.variant!r}")
         _validate_k(self.k)
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
+        if not 0 <= self.level <= MAX_LEVEL:
+            raise ValueError(f"level must lie in [0, {MAX_LEVEL}], got {self.level}")
         if self.variant == "full" and self.level < 1:
             raise ValueError("the full tree requires level >= 1")
 

@@ -50,7 +50,7 @@ def test_criterion_03_counting():
     edge, winding and enumerated-zero counts are all held to the two forms
     the README criterion table lists.
     """
-    wrong = verify.zero_counts((2, 3), range(7), 0.3)
+    wrong = verify.zero_counts(range(7))
     assert wrong == []
     print("\nPASS criterion 3 (counting): vertex, edge, winding and zero counts match the "
           "closed forms for k = 2, 3 and n <= 6 (full tree: 1+(k+1)(k^n-1)/(k-1))")

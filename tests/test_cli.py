@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cayley_ising
-from cayley_ising import cli, free_energy
+from cayley_ising import cli, free_energy, zeros
 from cayley_ising.cli import main
 
 
@@ -76,6 +76,23 @@ def test_out_path_refused_before_work(tmp_path, monkeypatch, capsys, target, arg
     path = str(tmp_path / out) if out else out
     assert run(args + ["--out", path]) == 1
     assert reason in capsys.readouterr().err
+
+
+def _no_schedule(tree):
+    raise AssertionError("the step schedule was built for a tree too deep to use")
+
+
+@pytest.mark.parametrize("args", [
+    ["zeros", "--k", 2, "--t", "0.5"],
+    ["measure", "--k", 2, "--t", "0.5"],
+], ids=["zeros", "measure"])
+def test_deep_level_refused_before_the_schedule(tmp_path, monkeypatch, capsys, args):
+    # a level of 10^7 once built a 10^7-step schedule and folded it with a
+    # growing big integer before any size cap could refuse the tree
+    monkeypatch.setattr(zeros.TreeSpec, "steps", property(_no_schedule))
+    assert run(args + ["--n", 10**7, "--out", tmp_path / "z.csv"]) == 1
+    assert "level must lie in" in capsys.readouterr().err
+    assert not (tmp_path / "z.csv").exists()
 
 
 def test_byte_identical_reruns(tmp_path):

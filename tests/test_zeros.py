@@ -10,6 +10,7 @@ from cayley_ising import verify
 from cayley_ising.core import TAU, ModelParams, lift_derivative, lift_eval, phi_e
 from cayley_ising.measure import EmpiricalMeasure
 from cayley_ising.zeros import (
+    MAX_LEVEL,
     MAX_ZEROS,
     TreeSpec,
     _wrap_angle,
@@ -39,6 +40,9 @@ def test_tree_spec_validation():
         TreeSpec("rooted", -1, 2)
     with pytest.raises(ValueError):
         TreeSpec("rooted", 2, 1)
+    for variant in ("rooted", "full"):
+        with pytest.raises(ValueError, match="level must lie in"):
+            TreeSpec(variant, MAX_LEVEL + 1, 2)
 
 
 def test_vertex_counts():
@@ -53,6 +57,9 @@ def test_vertex_counts():
         for n in range(1, 6):
             rooted = TreeSpec("rooted", n - 1, k).vertex_count
             assert TreeSpec("full", n, k).vertex_count == 1 + (k + 1) * rooted
+    # the deepest accepted tree still has a count a float holds
+    deepest = TreeSpec("rooted", MAX_LEVEL, 2).vertex_count
+    assert deepest == 2 ** (MAX_LEVEL + 1) - 1 and float(deepest) > 0
 
 
 _STEPS = TreeSpec.steps.fget
@@ -71,9 +78,18 @@ def test_a_wrong_schedule_fails_criteria_2_and_3(monkeypatch, mutant):
     affected = [tree for tree in trees if mutant(tree) != _STEPS(tree)]
     assert affected
     monkeypatch.setattr(TreeSpec, "steps", property(mutant))
-    assert verify.zero_counts((2, 3), range(5), 0.3) == affected
+    assert verify.zero_counts(range(5)) == affected
     _, mismatches, _ = verify.recursion_vs_bruteforce(16)
     assert mismatches and all(mutant(tree) != _STEPS(tree) for tree in mismatches)
+
+
+def test_a_nan_winding_fails_criterion_3(monkeypatch):
+    # NaN compares false with any bound, so it must count as a wrong tree
+    def nan_lift(phi, tree, t):
+        return np.full(2, math.nan), np.zeros(2, dtype=np.int64), np.ones(2)
+
+    monkeypatch.setattr(zeros_module, "iterated_lift", nan_lift)
+    assert len(verify.zero_counts(range(2))) == 3 * 2
 
 
 def test_edges_match_counts():
