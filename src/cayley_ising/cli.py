@@ -200,6 +200,8 @@ def _cmd_spectra(args) -> int:
 
 def _cmd_free_energy(args) -> int:
     t = float(_parse_t(args.t))
+    # k, t and phi in (-pi, pi] are checked as for spectra --phi, before any mode runs
+    core.ModelParams(args.k, t, args.phi)
     if args.mode == "radial":
         radii = _parse_grid(args.r_grid)
         radii = radii[np.abs(radii - 1.0) > 1e-6]
@@ -208,6 +210,8 @@ def _cmd_free_energy(args) -> int:
         print(f"wrote radial scan ({len(rows)} points) to {args.out}")
         return 0
     if args.mode == "report":
+        if not args.radius > 0:
+            raise ConfigError(f"--radius must be positive, got {args.radius}")
         z = args.radius * complex(math.cos(args.phi), math.sin(args.phi))
         rep = free_energy.free_energy_report(z, t, args.k, args.n)
         core.write_json(args.out, rep.to_dict())

@@ -122,16 +122,6 @@ class FixedPoint:
     multiplier: complex
 
 
-@dataclass(frozen=True)
-class FixedPointSet:
-    roots: tuple[FixedPoint, ...]
-
-    def disk_root(self):
-        """The unique attracting fixed point inside the unit disk, or None."""
-        inside = [r for r in self.roots if r.location == "disk"]
-        return inside[0] if inside else None
-
-
 def _fixed_point_poly(z, t: float, k: int) -> np.ndarray:
     """Ascending coefficients of P(w) = z(w+t)^k - w(1+wt)^k, one row per field z."""
     z = np.asarray(z, dtype=complex)
@@ -199,25 +189,25 @@ def _sorted_roots(t: float, k: int, zs) -> list[list[complex]]:
     return rows
 
 
-def fixed_points(p: ModelParams) -> FixedPointSet:
-    """All fixed points of the map: the one-field case of the batched root
-    solve that disk_fixed_points runs over a whole grid.
+def fixed_points(t: float, k: int, phis) -> list[tuple[FixedPoint, ...]]:
+    """All fixed points of the map at every field angle of phis, one tuple
+    per angle sorted by (|w|, arg), from one batched root solve: row i is
+    what the one-angle call fixed_points(t, k, [phis[i]]) gives, bit for bit.
 
     At t=0 the polynomial degree drops from k+1 to k (the exterior fixed
-    point is at infinity), so the set holds k roots instead of k+1.
+    point is at infinity), so each tuple holds k roots instead of k+1.
     """
-    (row,) = _sorted_roots(p.t, p.k, [p.z])
-    pts = tuple(FixedPoint(w, _location(w), complex(map_derivative(w, p))) for w in row)
-    return FixedPointSet(pts)
+    params = [ModelParams(k, t, float(phi)) for phi in phis]
+    rows = _sorted_roots(t, k, [p.z for p in params])
+    return [
+        tuple(FixedPoint(w, _location(w), complex(map_derivative(w, p))) for w in row)
+        for p, row in zip(params, rows)
+    ]
 
 
-def disk_fixed_points(t: float, k: int, phis) -> list[complex | None]:
-    """The disk fixed point at every field angle, or None where there is none:
-    fixed_points(ModelParams(k, t, phi)).disk_root() bit for bit, from one
-    batched root solve."""
-    zs = [ModelParams(k, t, float(phi)).z for phi in phis]
-    rows = _sorted_roots(t, k, zs)
-    return [next((w for w in row if _location(w) == "disk"), None) for row in rows]
+def disk_root(points: tuple[FixedPoint, ...]) -> FixedPoint | None:
+    """The unique attracting fixed point inside the unit disk, or None."""
+    return next((r for r in points if r.location == "disk"), None)
 
 
 def critical_temperature(k: int) -> float:

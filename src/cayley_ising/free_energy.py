@@ -107,7 +107,10 @@ def magnetization(z: complex, t: float, k: int, n: int) -> complex:
 
 
 def radial_scan(phi: float, t: float, k: int, n: int, radii) -> list[tuple[float, float]]:
-    """(r, F(r e^{i phi})) rows for the diagnostic radial regression."""
+    """(r, F(r e^{i phi})) rows for the diagnostic radial regression.  Every
+    radius must be positive (r <= 0 is not on the ray at angle phi), else
+    ValueError before anything is evaluated."""
+    _require_positive("radius", radii)
     return [
         (float(r), free_energy_electrostatic(r * complex(math.cos(phi), math.sin(phi)), t, k, n))
         for r in radii
@@ -166,7 +169,7 @@ def _panels(y: float, delta0: float):
     return zetas, weights
 
 
-def singular_part(y, phi: float, t: float, k: int, m: int, em: EmpiricalMeasure, delta0: float):
+def singular_part(y, phi: float, m: int, em: EmpiricalMeasure, delta0: float):
     """|h_sing(y)| = int_0^delta0 Phi(zeta)/(zeta^{2m+1}(zeta^2+y^2)) y^{2m+2} dzeta,
     with Phi the symmetric mass of [phi-zeta, phi+zeta], for scalar or array y
     (a float for scalar y, an array otherwise).
@@ -247,7 +250,7 @@ def singular_exponent(
         n_points = int(math.floor(2.0 * math.log2(y_coarse / y_fine))) + 1
         ys = y_coarse * 0.5 ** (0.5 * np.arange(n_points))
     ys = np.sort(ys)
-    h_vals = singular_part(ys, phi, t, k, m, em, delta0)
+    h_vals = singular_part(ys, phi, m, em, delta0)
     if np.any(h_vals <= 0.0):
         raise ValueError("singular part vanished on the y grid; enlarge delta0 or the level")
     slope, r2, fitted = log_log_fit(ys, h_vals)

@@ -1,10 +1,11 @@
 """Empirical zero-counting measure of a finite tree.
 
-The CDF is computed by integer counting of lift branches (O(level) per
-query, no enumeration), so N*M(phi) is the exact number of zeros in
-(-pi, phi], except for a query whose lift G(phi) lands within its own
-rounding, SEAM_ULPS * ulp(pi) * G'(phi), of a zero's branch value: that
-count can be off by one.
+The CDF is computed by integer counting of lift branches, read straight
+off the composed lift zeros.iterated_lift (O(level) per query, no
+enumeration), so N*M(phi) is the exact number of zeros in (-pi, phi],
+except for a query whose lift G(phi) lands within its own rounding,
+zeros.SEAM_ULPS * ulp(pi) * G'(phi), of a zero's branch value: that count
+can be off by one.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import critical_temperature, write_csv
-from .zeros import TreeSpec, branch_count, enumerate_zeros
+from . import zeros
+from .core import write_csv
+from .zeros import TreeSpec, enumerate_zeros
 
 
 @dataclass
@@ -36,16 +38,19 @@ class EmpiricalMeasure:
         the count by one.
 
         G is odd with G(pi) = pi|V|, so (-pi, 0] holds |V|//2 zeros and the
-        branch count adds the rest; phi <= -pi reads 0 and phi >= pi reads
-        |V| without evaluating the lift at the seam z = -1 (so +-inf read
-        0 and |V|).  A NaN raises ValueError.
+        lift branches at or below phi add the rest: the winding, plus one
+        where psi lands in that rounding band below the seam (the zero set
+        lives on (-pi, pi], so seam hits belong to +pi).  phi <= -pi reads 0 and phi >= pi reads |V| without evaluating the
+        lift at the seam z = -1 (so +-inf read 0 and |V|).  A NaN raises
+        ValueError.
         """
         phi = np.asarray(phi, dtype=float)
         if np.isnan(phi).any():
             raise ValueError("counts got phi = nan; angles must not be NaN")
         inside = (phi > -math.pi) & (phi < math.pi)
-        c = branch_count(np.where(inside, phi, 0.0), self.tree, self.t) + self.total // 2
-        return np.where(inside, c, np.where(phi >= math.pi, self.total, 0))
+        psi, wind, deriv = zeros.iterated_lift(np.where(inside, phi, 0.0), self.tree, self.t)
+        branches = wind + (psi >= math.pi - zeros.SEAM_ULPS * math.ulp(math.pi) * deriv)
+        return np.where(inside, branches + self.total // 2, np.where(phi >= math.pi, self.total, 0))
 
 
 def empirical_cdf(phi, em: EmpiricalMeasure):
@@ -78,32 +83,11 @@ def symmetric_mass(phi: float, zeta, em: EmpiricalMeasure):
 
 
 def max_gap(em: EmpiricalMeasure) -> float:
-    """Largest angular gap between circularly consecutive zeros.
-
-    Above the critical temperature the known zero-free arc around phi=0 is
-    excluded, so the statistic stays meaningful as an interior-density probe.
-    """
-    zs = enumerate_zeros(em.tree, em.t)
-    angles = zs.angles
-    gaps = np.diff(angles)
-    wrap = angles[0] + 2.0 * math.pi - angles[-1]
-    gaps = np.append(gaps, wrap)
-    if em.t > critical_temperature(em.tree.k):
-        # drop the single gap straddling phi = 0 (zeros never sit at 0 itself)
-        idx = int(np.searchsorted(angles, 0.0))
-        if 0 < idx < len(angles):
-            gaps = np.delete(gaps, idx - 1)
+    """Largest angular gap between circularly consecutive zeros; above t_c
+    that is the zero-free arc around phi = 0."""
+    angles = enumerate_zeros(em.tree, em.t).angles
+    gaps = np.append(np.diff(angles), angles[0] + 2.0 * math.pi - angles[-1])
     return float(gaps.max())
-
-
-def cdf_distance_rooted_full(k: int, n: int, t: float, grid: int = 10_000) -> float:
-    """Sup-norm distance between the rooted and full level-n CDFs on a uniform grid."""
-    if grid < 1:
-        raise ValueError(f"CDF grid needs at least one point, got {grid}")
-    phis = np.linspace(-math.pi, math.pi, grid)
-    em_r = EmpiricalMeasure(TreeSpec("rooted", n, k), t)
-    em_f = EmpiricalMeasure(TreeSpec("full", n, k), t)
-    return float(np.max(np.abs(empirical_cdf(phis, em_r) - empirical_cdf(phis, em_f))))
 
 
 def histogram(em: EmpiricalMeasure, bins: int = 360):

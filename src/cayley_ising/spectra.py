@@ -27,7 +27,7 @@ from .core import (
     TAU,
     ModelParams,
     critical_temperature,
-    disk_fixed_points,
+    disk_root,
     fixed_points,
     interior_support,
     inverse_moebius_lift,
@@ -63,7 +63,8 @@ def _require_interior(phi: float, t: float, k: int) -> None:
 def disk_fixed_point(p: ModelParams) -> complex:
     """The attracting fixed point in the open unit disk."""
     _require_interior(p.phi, p.t, p.k)
-    root = fixed_points(p).disk_root()
+    (points,) = fixed_points(p.t, p.k, [p.phi])
+    root = disk_root(points)
     if root is None:
         raise OutsideSupportError(
             f"no disk fixed point found at (phi={p.phi}, t={p.t}); parameters "
@@ -377,8 +378,8 @@ def kappa_curve(t: float, k: int, phis) -> list[KappaPoint]:
     """Per-angle disk fixed point, closed-form chi, and kappa = log k / chi.
 
     The disk fixed points of all in-support angles come from one batched
-    root solve (core.disk_fixed_points), bit for bit what disk_fixed_point
-    gives angle by angle.  Angles inside the zero-free arc are emitted with
+    root solve (core.fixed_points), bit for bit what disk_fixed_point gives
+    angle by angle.  Angles inside the zero-free arc are emitted with
     a no-support marker instead of being dropped, so grids stay aligned for
     plotting.  An in-support angle so close to the gap edge that the solve
     finds no disk root is emitted with w_disk=None and NaN chi and kappa,
@@ -387,15 +388,15 @@ def kappa_curve(t: float, k: int, phis) -> list[KappaPoint]:
     """
     phis = [float(phi) for phi in np.atleast_1d(np.asarray(phis, dtype=float))]
     support = [interior_support(phi, t, k) for phi in phis]
-    disk = iter(disk_fixed_points(t, k, [phi for phi, s in zip(phis, support) if s]))
+    solved = iter(fixed_points(t, k, [phi for phi, s in zip(phis, support) if s]))
     out = []
     for phi, inside in zip(phis, support):
-        w = next(disk) if inside else None
-        if w is None:
+        root = disk_root(next(solved)) if inside else None
+        if root is None:
             out.append(KappaPoint(phi, None, math.nan, math.nan, inside))
             continue
-        chi = _chi_acim(w, t, k)
-        out.append(KappaPoint(phi, w, chi, math.log(k) / chi, True))
+        chi = _chi_acim(root.value, t, k)
+        out.append(KappaPoint(phi, root.value, chi, math.log(k) / chi, True))
     return out
 
 

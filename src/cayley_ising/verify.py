@@ -112,21 +112,38 @@ def zero_counts(levels):
 
 def gap_margin(ts, levels):
     """Criterion 4: least clearance of the smallest positive zero over the
-    gap edge, min_positive_zero - (phi_e - 1e-6), across k = 2 rooted and full
-    trees at each t > t_c and level; negative means a zero inside the arc."""
-    return min(
-        zeros.min_positive_zero(zeros.enumerate_zeros(zeros.TreeSpec(variant, n, 2), t))
-        - (core.phi_e(t, 2) - 1e-6)
+    gap edge, min positive angle - (phi_e - 1e-6), across k = 2 rooted and
+    full trees at each t > t_c and level; negative means a zero inside the
+    arc.  Every zero set holds a positive angle: pi or a mirror pair's."""
+    zero_sets = (
+        (t, zeros.enumerate_zeros(zeros.TreeSpec(variant, n, 2), t).angles)
         for t in ts
         for variant in ("rooted", "full")
         for n in levels
     )
+    return min(float(a[a > 0.0].min()) - (core.phi_e(t, 2) - 1e-6) for t, a in zero_sets)
 
 
 def density_gaps(levels):
     """Criterion 5: largest gap between consecutive zeros of the k = 2 rooted
     tree at t = 0.2, per level."""
     return [measure.max_gap(measure.EmpiricalMeasure(zeros.TreeSpec("rooted", n, 2), 0.2)) for n in levels]
+
+
+def rooted_full_distance(n, ts, grid):
+    """Criterion 6: sup-norm distance between the k = 2 rooted and full
+    level-n CDFs on a uniform grid of `grid` angles, worst over ts."""
+    if grid < 1:
+        raise ValueError(f"CDF grid needs at least one point, got {grid}")
+    phis = np.linspace(-math.pi, math.pi, grid)
+    worst = 0.0
+    for t in ts:
+        rooted, full = (
+            measure.empirical_cdf(phis, measure.EmpiricalMeasure(zeros.TreeSpec(variant, n, 2), t))
+            for variant in ("rooted", "full")
+        )
+        worst = max(worst, float(np.max(np.abs(rooted - full))))
+    return worst
 
 
 def lyapunov_excess(params, n_steps, n_seeds, seed):
@@ -276,12 +293,12 @@ def check_fixed_points(rng, quick: bool) -> list[CheckResult]:
         phi = float(rng.uniform(-math.pi, math.pi))
         if not core.interior_support(phi, t, k):
             continue
-        fps = core.fixed_points(core.ModelParams(k, t, phi))
-        off = [r for r in fps.roots if r.location != "circle"]
+        (points,) = core.fixed_points(t, k, [phi])
+        off = [r for r in points if r.location != "circle"]
         for r in off:
             mirror = min(abs(r.value - 1.0 / np.conj(o.value)) for o in off)
             worst_pair = max(worst_pair, float(mirror))
-        disk = fps.disk_root()
+        disk = core.disk_root(points)
         if disk is not None and abs(disk.multiplier) >= 1.0:
             multiplier_ok = False
     return [
@@ -356,11 +373,8 @@ def check_gap_and_density(quick: bool) -> list[CheckResult]:
 
 
 def check_rooted_full(quick: bool) -> CheckResult:
-    n = 8 if quick else 12
-    worst = 0.0
-    for t in (0.2, 0.5):
-        worst = max(worst, measure.cdf_distance_rooted_full(2, n, t, grid=2000 if quick else 10_000))
-    return CheckResult("rooted_full_cdf_distance", worst <= 0.01, {"worst": float(worst), "bound": 0.01})
+    worst = rooted_full_distance(8 if quick else 12, (0.2, 0.5), 2000 if quick else 10_000)
+    return CheckResult("rooted_full_cdf_distance", worst <= 0.01, {"worst": worst, "bound": 0.01})
 
 
 def check_spectra(seed: int, quick: bool) -> list[CheckResult]:

@@ -15,15 +15,16 @@ winding kept in the integer digits of m.  F_m(phi) = phi - x(phi) has
 F_m' >= 1 and its one root in (0, pi) is phi_m, solved per branch by
 safeguarded Newton; |F_m| is the angular residual.
 
-Counting (branch_count) runs the lift forwards, carried as the circle
-point w = e^{i psi} next to an int64 winding: each level applies the
-Blaschke product w -> z((w+t)/(1+tw))^k in complex arithmetic and takes
-two arctan2, one for the lifted Moebius angle and one for the new psi,
-with no sin, cos or remainder.  The seam rule: psi lives on (-pi, pi], so
-where arctan2 returns -pi the angle is set to pi and Im w to +0.0, and the
-starting point is e^{i psi} of the reduced angle, never e^{i phi};
-otherwise a point at the seam is read from the wrong side and its winding
-is off by k^level.
+Counting (measure.EmpiricalMeasure.counts) runs the lift forwards through
+iterated_lift, carried as the circle point w = e^{i psi} next to an int64
+winding: each level applies the Blaschke product w -> z((w+t)/(1+tw))^k in
+complex arithmetic and takes two arctan2, one for the lifted Moebius angle
+and one for the new psi, with no sin, cos or remainder.  The seam rule: psi
+lives on (-pi, pi], so where arctan2 returns -pi the angle is set to pi and
+Im w to +0.0, and the starting point is e^{i psi} of the reduced angle,
+never e^{i phi}; otherwise a point at the seam is read from the wrong side
+and its winding is off by k^level.  SEAM_ULPS bounds the lift's rounding,
+the band below pi inside which a count reads the lift as on the seam.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .core import TAU, _validate_k, _validate_t, inverse_moebius_lift, write_csv
 
 # bound on the rounding error of the composed lift, in ulp(pi) per unit of
 # G'(phi) (see iterated_lift): a lift that lands within it below pi is
-# counted as being at the seam
+# counted as being at the seam (measure.EmpiricalMeasure.counts)
 SEAM_ULPS = 16
 
 _CHUNK = 1 << 17
@@ -219,15 +220,6 @@ def _lift_steps(phi, psi, wind, deriv, steps, t):
         wind += turns
 
 
-def branch_count(phi, tree: TreeSpec, t: float):
-    """Integer C(phi) counting lift branches at or below phi; the exact zero
-    count on (a, b] is C(b) - C(a).  A lift that lands within its own
-    rounding error below the seam, SEAM_ULPS * ulp(pi) * G'(phi), counts as
-    on it: the zero set lives on (-pi, pi], so seam hits belong to +pi."""
-    psi, wind, deriv = iterated_lift(phi, tree, t)
-    return wind + (psi >= math.pi - SEAM_ULPS * math.ulp(math.pi) * deriv)
-
-
 @dataclass(frozen=True)
 class ZeroSet:
     """Sorted zero angles in (-pi, pi] for one (tree, t), with solver residuals."""
@@ -367,11 +359,3 @@ def enumerate_zeros(
     angles = np.concatenate([-phi[::-1], phi, [math.pi] * odd])
     residuals = np.concatenate([res[::-1], res, [0.0] * odd])
     return ZeroSet(tree, t, angles, residuals)
-
-
-def min_positive_zero(zs: ZeroSet) -> float:
-    """Smallest strictly positive zero angle."""
-    positive = zs.angles[zs.angles > 0.0]
-    if positive.size == 0:
-        raise ValueError("zero set has no strictly positive angle")
-    return float(positive.min())

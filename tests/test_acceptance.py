@@ -15,7 +15,6 @@ import numpy as np
 
 from cayley_ising import verify
 from cayley_ising.core import ModelParams, critical_temperature, json_text, phi_e
-from cayley_ising.measure import cdf_distance_rooted_full
 from cayley_ising.partition import partition_poly_recursive
 from cayley_ising.spectra import birkhoff_exponents, lyapunov_acim_closed, pointwise_dimension
 from cayley_ising.zeros import TreeSpec, enumerate_zeros
@@ -75,9 +74,7 @@ def test_criterion_05_density():
 
 def test_criterion_06_rooted_equals_full():
     """Sup-norm CDF distance between variants at n=14 on a 10^4 grid."""
-    worst = 0.0
-    for t in (0.2, 0.5):
-        worst = max(worst, cdf_distance_rooted_full(2, 14, t, grid=10_000))
+    worst = verify.rooted_full_distance(14, (0.2, 0.5), 10_000)
     assert worst <= 0.01
     print(f"\nPASS criterion 6 (rooted = full): sup CDF distance {worst:.5f} <= 0.01")
 

@@ -242,3 +242,22 @@ def test_free_energy_kappa_prior(tmp_path, capsys):
         lib, free_energy.singular_exponent(0.0, 0.2, 2, n=36, delta0=1.2, kappa_prior=1.0)
     )
     assert out.read_bytes() == lib.read_bytes()
+
+
+@pytest.mark.parametrize("args, reason", [
+    # r <= 0 is F on the opposite ray, not on the ray at angle phi
+    (["--t", 0.5, "--phi", 0.3, "--mode", "radial", "--r-grid=-1:-0.5:0.25"], "radius must be finite and positive"),
+    (["--t", 0.5, "--phi", 0.3, "--mode", "radial", "--r-grid=0:1.5:0.5"], "radius must be finite and positive"),
+    (["--t", 0.5, "--phi", 0.3, "--mode", "report", "--radius", -2], "--radius must be positive"),
+    (["--t", 0.5, "--phi", 0.3, "--mode", "report", "--radius", 0], "--radius must be positive"),
+    # a field angle outside (-pi, pi] is refused by every mode alike
+    (["--t", 0.2, "--n", 20, "--phi", 4.0, "--mode", "singular", "--kappa-prior", 1.0], "field angle phi"),
+    (["--t", 0.5, "--phi", 7.0, "--mode", "report"], "field angle phi"),
+    (["--t", 0.5, "--phi", -math.pi, "--mode", "radial"], "field angle phi"),
+], ids=["radial-negative", "radial-zero", "report-negative", "report-zero",
+        "singular-phi", "report-phi", "radial-phi"])
+def test_free_energy_refuses_off_ray_input(tmp_path, capsys, args, reason):
+    out = tmp_path / "fe.out"
+    assert run(["free-energy", "--k", 2, "--n", 8, *args, "--out", out]) == 1
+    assert reason in capsys.readouterr().err
+    assert not out.exists()

@@ -8,6 +8,7 @@ from cayley_ising.core import (
     ModelParams,
     NoGapError,
     critical_temperature,
+    disk_root,
     fixed_points,
     interior_support,
     lift_derivative,
@@ -75,27 +76,27 @@ def test_lift_derivative_values_and_fd():
 
 
 def test_fixed_points_known_case():
-    fps = fixed_points(ModelParams(2, 0.2, 0.0))
-    values = sorted(r.value.real for r in fps.roots)
+    (fps,) = fixed_points(0.2, 2, [0.0])
+    values = sorted(r.value.real for r in fps)
     assert values[0] == pytest.approx(7.0 - 4.0 * math.sqrt(3.0), abs=1e-12)
     assert values[1] == pytest.approx(1.0, abs=1e-12)
     assert values[2] == pytest.approx(7.0 + 4.0 * math.sqrt(3.0), abs=1e-10)
-    disk = fps.disk_root()
+    disk = disk_root(fps)
     assert disk is not None and abs(disk.multiplier) == pytest.approx(0.5, abs=1e-12)
-    circle = next(r for r in fps.roots if r.location == "circle")
+    circle = next(r for r in fps if r.location == "circle")
     assert circle.multiplier.real == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
 def test_fixed_points_triple_root_at_tc():
-    fps = fixed_points(ModelParams(2, 1.0 / 3.0, 0.0))
-    for r in fps.roots:
+    (fps,) = fixed_points(1.0 / 3.0, 2, [0.0])
+    for r in fps:
         assert abs(r.value - 1.0) < 2e-5  # cube-root-of-eps smearing of the triple root
 
 
 def test_fixed_points_degenerate_t0():
-    fps = fixed_points(ModelParams(3, 0.0, 0.4))
-    assert len(fps.roots) == 3  # degree k, not k+1: the exterior root is at infinity
-    assert abs(fps.disk_root().value) < 1e-12  # B(w) = z w^k fixes 0
+    (fps,) = fixed_points(0.0, 3, [0.4])
+    assert len(fps) == 3  # degree k, not k+1: the exterior root is at infinity
+    assert abs(disk_root(fps).value) < 1e-12  # B(w) = z w^k fixes 0
 
 
 def test_fixed_point_residual_polynomial():
@@ -105,18 +106,33 @@ def test_fixed_point_residual_polynomial():
         t = float(rng.uniform(0.01, 0.95))
         ph = float(rng.uniform(-math.pi, math.pi))
         p = ModelParams(k, t, ph)
-        for r in fixed_points(p).roots:
+        (fps,) = fixed_points(t, k, [ph])
+        for r in fps:
             w = r.value
             res = abs(p.z * (w + t) ** k - w * (1.0 + w * t) ** k)
             assert res <= 1e-9 * (1.0 + abs(w)) ** (k + 1)
 
 
 def test_conjugation_symmetry():
-    plus = fixed_points(ModelParams(2, 0.4, 1.1))
-    minus = fixed_points(ModelParams(2, 0.4, -1.1))
-    got = sorted(np.conj([r.value for r in minus.roots]), key=lambda z: (z.real, z.imag))
-    want = sorted([r.value for r in plus.roots], key=lambda z: (z.real, z.imag))
+    plus, minus = fixed_points(0.4, 2, [1.1, -1.1])
+    got = sorted(np.conj([r.value for r in minus]), key=lambda z: (z.real, z.imag))
+    want = sorted([r.value for r in plus], key=lambda z: (z.real, z.imag))
     assert np.allclose(got, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.2, 1.0 / 3.0, 0.9])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_fixed_points_batch_rows_equal_single_angles(k, t):
+    phis = [-math.pi + 1e-9, -2.0, -0.3, 0.0, 1e-7, 0.7, 2.5, math.pi]
+    batch = fixed_points(t, k, phis)
+    assert len(batch) == len(phis)
+    for phi, row in zip(phis, batch):
+        (single,) = fixed_points(t, k, [phi])
+        # at t = 0 the exterior root is at infinity: k roots, not k+1
+        assert len(row) == len(single) == (k if t == 0.0 else k + 1)
+        for a, b in zip(row, single):
+            assert a.location == b.location
+            assert np.array([a.value, a.multiplier]).tobytes() == np.array([b.value, b.multiplier]).tobytes()
 
 
 def test_critical_temperature():

@@ -137,7 +137,7 @@ def test_singular_part_matches_lebesgue_closed_form():
     em = EmpiricalMeasure(TreeSpec("rooted", 18, 2), 0.0)
     delta0 = 0.5
     for y in (0.01, 0.05, 0.2):
-        got = singular_part(y, 0.9, 0.0, 2, 0, em, delta0)
+        got = singular_part(y, 0.9, 0, em, delta0)
         expected = (y / math.pi) * math.atan(delta0 / y)
         # the staircase of ~5e5 atoms deviates from the continuum at ~1/(N Phi)
         assert got == pytest.approx(expected, rel=1e-3)
@@ -150,9 +150,9 @@ def test_singular_part_matches_lebesgue_closed_form():
 def test_singular_part_array_equals_scalar_calls(phi, t, m, delta0, ys, counts_calls):
     # the criterion-10 grids: one batched call gives the scalar calls' bits
     em = EmpiricalMeasure(TreeSpec("rooted", 20, 2), t)
-    batched = singular_part(ys, phi, t, 2, m, em, delta0)
+    batched = singular_part(ys, phi, m, em, delta0)
     assert len(counts_calls) == 1
-    single = [singular_part(float(y), phi, t, 2, m, em, delta0) for y in ys]
+    single = [singular_part(float(y), phi, m, em, delta0) for y in ys]
     assert all(isinstance(h, float) for h in single)
     assert np.array_equal(batched, single)
 
@@ -174,9 +174,9 @@ def test_singular_exponent_counts_calls(counts_calls):
 def test_singular_part_refuses_bad_y(y, counts_calls):
     em = EmpiricalMeasure(TreeSpec("rooted", 10, 2), 0.2)
     with pytest.raises(ValueError, match="y must be finite and positive"):
-        singular_part(y, 0.0, 0.2, 2, 0, em, 0.5)
+        singular_part(y, 0.0, 0, em, 0.5)
     with pytest.raises(ValueError, match="y must be finite and positive"):
-        singular_part(np.array([0.01, y]), 0.0, 0.2, 2, 0, em, 0.5)
+        singular_part(np.array([0.01, y]), 0.0, 0, em, 0.5)
     with pytest.raises(ValueError, match="y must be finite and positive"):
         singular_exponent(0.0, 0.2, 2, n=10, ys=[0.01, 0.02, y])
     assert counts_calls == []
@@ -186,7 +186,7 @@ def test_singular_part_refuses_bad_y(y, counts_calls):
 def test_singular_fit_refuses_bad_delta0(delta0, counts_calls):
     em = EmpiricalMeasure(TreeSpec("rooted", 10, 2), 0.2)
     with pytest.raises(ValueError, match="delta0 must be finite and positive"):
-        singular_part(0.01, 0.0, 0.2, 2, 0, em, delta0)
+        singular_part(0.01, 0.0, 0, em, delta0)
     with pytest.raises(ValueError, match="delta0 must be finite and positive"):
         singular_exponent(0.0, 0.2, 2, n=10, delta0=delta0)
     assert counts_calls == []
@@ -235,8 +235,8 @@ def test_regular_part_is_even_polynomial():
         a0 = moment(0, delta0)
         a1 = moment(1, delta0)
         for y in (0.05, 0.1, 0.2):
-            h_full = singular_part(y, phi, t, k, -1, em, delta0)  # m=-1 gives the raw kernel
-            h_sing = singular_part(y, phi, t, k, m, em, delta0)
+            h_full = singular_part(y, phi, -1, em, delta0)  # m=-1 gives the raw kernel
+            h_sing = singular_part(y, phi, m, em, delta0)
             h_reg = h_full - h_sing
             poly = a0 - a1 * y * y
             # three independent staircase quadratures stack to ~1% here; a

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cayley_ising import verify
 from cayley_ising.measure import (
     EmpiricalMeasure,
-    cdf_distance_rooted_full,
     empirical_cdf,
     histogram,
     max_gap,
@@ -32,8 +32,8 @@ def test_cdf_known_small_case():
 
 def test_cdf_is_exact_staircase():
     rng = np.random.default_rng(8)
-    for n in (4, 7, 10):
-        m = em(n=n, t=0.37)
+    for n, t in ((4, 0.37), (7, 0.37), (10, 0.37), (6, 0.5)):
+        m = em(n=n, t=t)
         zs = enumerate_zeros(m.tree, m.t)
         probes = rng.uniform(-math.pi, math.pi, 500)
         counts = m.counts(probes)
@@ -130,27 +130,17 @@ def test_max_gap_uniform():
     assert max_gap(m) == pytest.approx(2.0 * math.pi / m.total, abs=1e-12)
 
 
-def test_max_gap_excludes_arc_above_tc():
-    # at t=0.5 > t_c the (-phi_e, phi_e) arc is empty and excluded, so the
-    # reported gap is much smaller than the arc width
-    m = em(n=10, t=0.5)
-    zs = enumerate_zeros(m.tree, m.t)
-    arc = 2.0 * np.min(zs.angles[zs.angles > 0])
-    gap = max_gap(m)
-    assert gap < arc / 3.0
-
-
 def test_density_trend_below_tc():
     gaps = [max_gap(em(n=n, t=0.2)) for n in (4, 7, 10)]
     assert gaps[2] < gaps[1] < gaps[0]
 
 
 def test_rooted_full_distance():
-    assert cdf_distance_rooted_full(2, 6, 0.0, grid=500) <= 2.0 / 127.0
-    assert cdf_distance_rooted_full(2, 10, 0.5, grid=2000) <= 0.01
+    assert verify.rooted_full_distance(6, (0.0,), 500) <= 2.0 / 127.0
+    assert verify.rooted_full_distance(10, (0.5,), 2000) <= 0.01
     for grid in (0, -1):
         with pytest.raises(ValueError, match="grid"):
-            cdf_distance_rooted_full(2, 6, 0.5, grid=grid)
+            verify.rooted_full_distance(6, (0.5,), grid)
 
 
 def test_histogram_sums_to_one():

@@ -2,7 +2,8 @@
 
 Every public module-level function and class of cayley_ising must be named
 somewhere else in the package's source, or be a library entry point that
-the benchmark's tracer (perfbench/tracing.py) hooks by name.
+the benchmark's tracer (perfbench/tracing.py) hooks by name.  A private one
+must be named somewhere in the package's source, whatever the tracer hooks.
 """
 
 import ast
@@ -13,9 +14,9 @@ PACKAGE = ROOT / "src" / "cayley_ising"
 TRACER = ROOT / "perfbench" / "tracing.py"
 
 
-def _public_definitions(tree):
+def _definitions(tree, private):
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") == private:
             yield node.name
 
 
@@ -29,9 +30,13 @@ def _used_names(tree):
             yield node.attr
 
 
-def test_every_public_name_has_a_caller():
+def _package():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    used = {name for tree in trees.values() for name in _used_names(tree)}
+    return trees, {name for tree in trees.values() for name in _used_names(tree)}
+
+
+def test_every_public_name_has_a_caller():
+    trees, used = _package()
     # the tracer's hooks are (owner, "attribute", ...) tuples.
     # partition.write_roots_csv has no caller in the package and passes only
     # because the tracer hooks it as the roots writer
@@ -43,7 +48,18 @@ def test_every_public_name_has_a_caller():
     orphans = [
         f"{module}.{name}"
         for module, tree in trees.items()
-        for name in _public_definitions(tree)
+        for name in _definitions(tree, private=False)
         if name not in used and name not in hooked
+    ]
+    assert orphans == []
+
+
+def test_every_private_name_has_a_caller():
+    trees, used = _package()
+    orphans = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _definitions(tree, private=True)
+        if name not in used
     ]
     assert orphans == []

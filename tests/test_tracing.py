@@ -59,3 +59,17 @@ def test_traced_birkhoff_and_kappa_curve_keep_their_layer_figures():
     metrics = tracer.metrics(1.0, 1.0)
     assert metrics["spectra.kappa_curve_s"] > 0.0
     assert metrics["spectra.birkhoff_ns_per_chain_step"] > 0.0
+
+
+def test_traced_kappa_curve_counts_its_one_batched_solve():
+    # the curve's disk fixed points come from one core.fixed_points call,
+    # looked up as spectra.fixed_points, so core.fixed_points_calls sees it
+    tracer = Tracer()
+    tracer.install()
+    try:
+        spectra.kappa_curve(0.5, 2, [0.0, 1.0, 2.5, -2.0])
+    finally:
+        tracer.remove()
+    assert tracer.counts["core.fixed_points_calls"] == 1
+    assert [span[0] for span in tracer.spans].count("core.fixed_points") == 1
+    assert tracer.metrics(1.0, 1.0)["core.fixed_points_calls"] == 1

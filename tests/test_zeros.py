@@ -14,10 +14,8 @@ from cayley_ising.zeros import (
     MAX_ZEROS,
     TreeSpec,
     _wrap_angle,
-    branch_count,
     enumerate_zeros,
     iterated_lift,
-    min_positive_zero,
 )
 
 
@@ -175,7 +173,7 @@ def test_zero_free_arc():
         edge = phi_e(t, 2)
         for variant in ("rooted", "full"):
             zs = enumerate_zeros(TreeSpec(variant, 9, 2), t)
-            assert min_positive_zero(zs) >= edge - 1e-6
+            assert zs.angles[zs.angles > 0.0].min() >= edge - 1e-6
 
 
 def test_conjugate_symmetry_gap_matches_dense_chords():
@@ -229,18 +227,6 @@ def test_workers_split_small_trees(monkeypatch):
     assert max(sizes) == -(-half // 2)
     assert a.angles.tobytes() == b.angles.tobytes()
     assert a.residuals.tobytes() == b.residuals.tobytes()
-
-
-def test_branch_count_matches_staircase():
-    tree = TreeSpec("rooted", 6, 2)
-    t = 0.5
-    zs = enumerate_zeros(tree, t)
-    rng = np.random.default_rng(4)
-    probes = rng.uniform(-math.pi, math.pi, 400)
-    base = branch_count(np.array(-math.pi), tree, t)
-    counts = branch_count(probes, tree, t) - base
-    stair = np.searchsorted(zs.angles, probes, side="right")
-    assert np.array_equal(counts, stair)
 
 
 def assert_mirror_exact(angles: np.ndarray, count: int) -> None:
@@ -315,7 +301,7 @@ def test_winding_is_int64_and_guarded():
     with pytest.raises(ValueError, match="2\\^62"):
         iterated_lift(0.5, TreeSpec("rooted", 62, 2), 0.5)
     with pytest.raises(ValueError, match="2\\^62"):
-        branch_count(0.5, TreeSpec("rooted", 40, 3), 0.5)
+        EmpiricalMeasure(TreeSpec("rooted", 40, 3), 0.5).counts(0.5)
 
 
 def test_enumeration_cap_refuses_before_allocating():
