@@ -32,8 +32,8 @@ def test_cdf_known_small_case():
 
 def test_cdf_is_exact_staircase():
     rng = np.random.default_rng(8)
-    for n, t in ((4, 0.37), (7, 0.37), (10, 0.37), (6, 0.5)):
-        m = em(n=n, t=t)
+    for n in (4, 7, 10):
+        m = em(n=n, t=0.37)
         zs = enumerate_zeros(m.tree, m.t)
         probes = rng.uniform(-math.pi, math.pi, 500)
         counts = m.counts(probes)

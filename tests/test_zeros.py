@@ -229,6 +229,19 @@ def test_workers_split_small_trees(monkeypatch):
     assert a.residuals.tobytes() == b.residuals.tobytes()
 
 
+def test_branch_count_matches_staircase():
+    # EmpiricalMeasure.counts reads the lift branches at or below phi off
+    # iterated_lift; above t_c they must still give the enumerated staircase
+    tree = TreeSpec("rooted", 6, 2)
+    t = 0.5
+    zs = enumerate_zeros(tree, t)
+    rng = np.random.default_rng(4)
+    probes = rng.uniform(-math.pi, math.pi, 400)
+    counts = EmpiricalMeasure(tree, t).counts(probes)
+    stair = np.searchsorted(zs.angles, probes, side="right")
+    assert np.array_equal(counts, stair)
+
+
 def assert_mirror_exact(angles: np.ndarray, count: int) -> None:
     """angles = [-pos[::-1], pos] plus pi for odd counts, bit for bit."""
     half = count // 2
