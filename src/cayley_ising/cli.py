@@ -29,10 +29,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_t(text: str):
-    """Temperature variable as a float, or exact Fraction for 'p/q' input."""
+def _parse_t(text: str) -> float:
+    """Temperature variable as a float; 'p/q' input is rounded once to the nearest double."""
     try:
-        value = Fraction(text) if "/" in text else float(text)
+        value = float(Fraction(text)) if "/" in text else float(text)
     except ZeroDivisionError as exc:
         raise ConfigError(f"t has a zero denominator: {text}") from exc
     if not (0 <= value < 1):
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_zeros(args) -> int:
     t = _parse_t(args.t)
     tree = zeros.TreeSpec(args.tree, args.n, args.k)
-    zs = zeros.enumerate_zeros(tree, float(t), tol=args.tol, workers=args.workers)
+    zs = zeros.enumerate_zeros(tree, t, tol=args.tol, workers=args.workers)
     if args.format == "csv":
         zs.write_csv(args.out)
     else:
@@ -155,7 +155,7 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    t = float(_parse_t(args.t))
+    t = _parse_t(args.t)
     em = measure.EmpiricalMeasure(zeros.TreeSpec(args.tree, args.n, args.k), t)
     if args.kind == "cdf":
         measure.write_cdf_csv(args.out, em, grid=args.grid)
@@ -177,7 +177,7 @@ def _cmd_phi_e(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
-    t = float(_parse_t(args.t))
+    t = _parse_t(args.t)
     if args.phi_grid is not None:
         phis = _parse_grid(args.phi_grid)
         points = spectra.kappa_curve(t, args.k, phis)
@@ -199,7 +199,7 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_free_energy(args) -> int:
-    t = float(_parse_t(args.t))
+    t = _parse_t(args.t)
     # k, t and phi in (-pi, pi] are checked as for spectra --phi, before any mode runs
     core.ModelParams(args.k, t, args.phi)
     if args.mode == "radial":

@@ -18,7 +18,8 @@ on the unit circle, so for the palindromic integer polynomial of degree
 2m (odd degree: z + 1 deflated first) e^{-im theta} P(e^{i theta}) is an
 integer polynomial Q(cos theta) of degree m with m simple roots in
 (-1, 1).  Descartes bisection isolates them on dyadic intervals, and
-bisection on the exact sign of Q refines each to the float angle.
+bisection on the exact sign of Q refines each to the float angle; the
+half-width of the final angle bracket, in radians, is returned with it.
 """
 
 from __future__ import annotations
@@ -178,13 +179,11 @@ def _circle_polynomial(coeffs) -> list[int]:
     den = math.lcm(*(Fraction(c).denominator for c in coeffs))
     a = [int(Fraction(c) * den) for c in coeffs]
     if len(a) % 2 == 0:
-        # odd degree: spin-flip symmetry puts a root exactly at z = -1
+        # odd degree: a palindrome has P(-1) = 0 exactly, so z + 1 divides it
         s = [0] * (len(a) - 1)
         s[-1] = a[-1]
         for j in range(len(a) - 2, 0, -1):
             s[j - 1] = a[j] - s[j]
-        if a[0] != s[0]:
-            raise RuntimeError("odd-degree palindrome failed exact deflation at z = -1")
         a = s
     m = (len(a) - 1) // 2
     # Q = a_m + 2 sum_j a_{m+j} T_j(x), with T_{j+1} = 2x T_j - T_{j-1}
@@ -263,9 +262,10 @@ def _angle(c: int, e: int) -> float:
     return 2.0 * math.atan2(math.sqrt((den - c) / den), math.sqrt(c / den))
 
 
-def _refine(r, c: int, e: int) -> float:
+def _refine(r, c: int, e: int) -> tuple[float, float]:
     """Bisect the isolating interval (c/2^e, (c+1)/2^e) on the exact sign of
-    r until the angles at its ends are within 2 ulp; return their mean."""
+    r until the angles at its ends are within 2 ulp; return their mean and
+    the bracket's half-width (0.0 when a midpoint is the root exactly)."""
     s_lo = _sign(r, c, e)
     if s_lo == 0:
         # the left end is another (simple) root: take the sign of r' there
@@ -274,36 +274,32 @@ def _refine(r, c: int, e: int) -> float:
     while True:
         a_lo, a_hi = _angle(lo, e), _angle(hi, e)
         if a_lo - a_hi <= 2.0 * math.ulp(a_lo):
-            return 0.5 * (a_lo + a_hi)
+            return 0.5 * (a_lo + a_hi), 0.5 * (a_lo - a_hi)
         lo, hi, e = 2 * lo, 2 * hi, e + 1
         mid = lo + 1
         s_mid = _sign(r, mid, e)
         if s_mid == 0:
-            return _angle(mid, e)
+            return _angle(mid, e), 0.0
         if s_mid == s_lo:
             lo = mid
         else:
             hi = mid
 
 
-def _horner(x, c):
-    acc = np.zeros_like(x) + c[-1]
-    for cj in c[-2::-1]:
-        acc = acc * x + cj
-    return acc
-
-
 def poly_roots_on_circle(p: PartitionPolynomial):
     """All roots of the partition polynomial, certified on the unit circle.
 
-    The m = degree//2 root angles in (0, pi) are isolated and refined in
-    exact integer arithmetic (module docstring); the rest are their
-    mirror images and, at odd degree, exactly pi.  Finding fewer than m
-    roots (some off the circle, or one at z = -1 in even degree), a
-    multiple root, or two roots closer than float64 resolves raises
-    RuntimeError: missed or duplicated roots never pass silently.  The
-    returned residual per root is the relative backward error
-    |P(e^{i angle})| / sum(|c_j|), evaluated in extended precision.
+    The polynomial must be palindromic with positive coefficients, else
+    ValueError: the certificate below holds only for such P.  The
+    m = degree//2 root angles in (0, pi) are isolated and refined in exact
+    integer arithmetic (module docstring); the rest are their mirror images
+    and, at odd degree, exactly pi.  m roots of Q in (-1, 1) are all the
+    roots of P, so each is on the circle; finding fewer (some off the
+    circle, or one at z = -1 in even degree), a multiple root, or two roots
+    closer than float64 resolves raises RuntimeError: missed or duplicated
+    roots never pass silently.  Each root comes as (angle, half-width): the
+    half-width in radians bounds |angle - exact angle|, up to the rounding
+    of the bracket's end angles, and is 0.0 for roots hit exactly.
     """
     if p.degree > MAX_ROOT_DEGREE:
         raise ValueError(f"root finding capped at degree {MAX_ROOT_DEGREE}, got {p.degree}")
@@ -311,6 +307,8 @@ def poly_roots_on_circle(p: PartitionPolynomial):
         raise ValueError("t >= 1 degenerates to a multiple root at z = -1; use the analytic limit")
     if any(c <= 0 for c in p.coeffs):
         raise ValueError("partition coefficients must be strictly positive")
+    if p.coeffs != p.coeffs[::-1]:
+        raise ValueError("partition coefficients must be palindromic (c_j = c_{degree-j})")
 
     r = _circle_polynomial(p.coeffs)
     m = len(r) - 1
@@ -320,22 +318,11 @@ def poly_roots_on_circle(p: PartitionPolynomial):
             f"found {len(exact) + len(intervals)} of {m} roots of the circle polynomial "
             "in (-1, 1); the rest are off the unit circle or at z = -1"
         )
-    upper = sorted([_angle(c, e) for c, e in exact] + [_refine(r, c, e) for c, e in intervals])
-    if any(a == b for a, b in zip(upper, upper[1:])):
+    upper = sorted([(_angle(c, e), 0.0) for c, e in exact] + [_refine(r, c, e) for c, e in intervals])
+    if any(a == b for (a, _), (b, _) in zip(upper, upper[1:])):
         raise RuntimeError("two circle roots are closer than float64 resolves; refusing duplicates")
-    pi_part = [math.pi] if p.degree % 2 else []
-    angles = np.array([-a for a in upper[::-1]] + upper + pi_part)
-
-    coeffs = np.array([float(c) for c in p.coeffs], dtype=np.longdouble)
-    z = np.exp(1j * angles.astype(np.longdouble))
-    residuals = (np.abs(_horner(z, coeffs.astype(np.clongdouble))) / np.sum(coeffs)).astype(float)
-    if p.degree % 2:
-        residuals[-1] = 0.0  # z = -1 is a root exactly, by the palindrome pairing
-
-    worst = float(np.max(np.abs(np.abs(np.exp(1j * angles)) - 1.0)))
-    if worst > 1e-9:  # structurally zero; kept as the stated on-circle certificate
-        raise RuntimeError(f"root strayed {worst:.3g} from the unit circle (> 1e-9)")
-    return [(float(a), float(res)) for a, res in zip(angles, residuals)]
+    pi_part = [(math.pi, 0.0)] if p.degree % 2 else []
+    return [(-a, w) for a, w in upper[::-1]] + upper + pi_part
 
 
 def write_roots_csv(path, pairs) -> None:

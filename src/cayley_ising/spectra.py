@@ -275,18 +275,23 @@ def pointwise_dimension(
     branch); the finest is raised until it still holds at least MIN_ATOMS
     zeros, warning if that truncates the requested range.  An explicit
     coarsest must be finite and positive and octaves at least 2 (three
-    scales), else ValueError.
+    scales), and |phi| < pi, else ValueError; phi outside the zero support
+    raises OutsideSupportError.
     """
     if coarsest is not None and not (math.isfinite(coarsest) and coarsest > 0):
         raise ValueError(f"coarsest scale must be finite and positive, got {coarsest}")
     if octaves < 2:
         raise ValueError(f"fewer than three usable scales: octaves = {octaves}, need at least 2")
+    if abs(phi) >= math.pi:
+        raise ValueError(
+            f"phi={phi} is on or past the seam at +-pi: the window [phi - d, phi + d] "
+            "must stay inside the principal branch (-pi, pi)"
+        )
+    _require_interior(phi, t, k)
     em = EmpiricalMeasure(TreeSpec("rooted", level, k), t)
     room = math.pi - abs(phi)
     if t > critical_temperature(k):
         room = min(room, abs(phi) - phi_e(t, k))
-    if room <= 0:
-        raise OutsideSupportError(f"phi={phi} is not interior to the zero support at t={t}")
     if coarsest is None:
         coarsest = min(math.pi / 8.0, room / 2.0)
     deltas = coarsest * 0.5 ** np.arange(octaves + 1)

@@ -180,6 +180,14 @@ def test_spectra_refuses(tmp_path, capsys, flag, value, reason):
     assert not out.exists()
 
 
+def test_spectra_seam_refused_for_its_reason(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run(["spectra", "--k", 2, "--t", "0.2", "--phi", math.pi, "--mme-depth", 4, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "seam" in err and "zero support" not in err
+    assert not out.exists()
+
+
 def test_spectra_gap_refused(tmp_path):
     assert run(["spectra", "--k", 2, "--t", "0.5", "--phi", "0.1", "--out", tmp_path / "r.json"]) == 1
 

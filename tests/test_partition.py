@@ -128,15 +128,33 @@ def test_roots_match_dynamics_enumeration():
         assert len(pairs) == tree.vertex_count
         zs = enumerate_zeros(tree, float(tf))
         assert np.allclose([a for a, _ in pairs], zs.angles, atol=1e-10)
-        assert max(r for _, r in pairs) <= 1e-12
+        assert max(w for _, w in pairs) <= 1e-12
 
 
 def test_roots_known_factorization():
     # 1 + 1.25 z + 1.25 z^2 + z^3 = (z+1)(z^2 + z/4 + 1)
     poly = partition_poly_recursive(TreeSpec("rooted", 1, 2), Fraction(1, 2))
-    angles = [a for a, _ in poly_roots_on_circle(poly)]
+    pairs = poly_roots_on_circle(poly)
     expected = [-math.acos(-0.125), math.acos(-0.125), math.pi]
-    assert np.allclose(angles, expected, atol=1e-14)
+    assert np.allclose([a for a, _ in pairs], expected, atol=1e-14)
+    assert pairs[-1] == (math.pi, 0.0)  # z = -1 is a root exactly
+
+
+def test_roots_huge_coefficients():
+    # 2^1100 (z^2 + z + 1) overflows a double; the certificate never converts
+    # a coefficient to float (rooted k = 2 level 10 at t = 1/2 reaches 2^1191)
+    c = Fraction(2**1100)
+    poly = PartitionPolynomial(TreeSpec("rooted", 1, 2), Fraction(1, 2), (c, c, c))
+    assert poly_roots_on_circle(poly) == [(-2 * math.pi / 3, 0.0), (2 * math.pi / 3, 0.0)]
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 5), (5, 1, 1), (1, 3, 3, 2)])
+def test_roots_refuse_non_palindrome(coeffs):
+    # the exact root count proves the roots on the circle only for a palindrome:
+    # (1, 1, 5) has roots of modulus 0.447, once returned as certified at +-1.671
+    poly = PartitionPolynomial(TreeSpec("rooted", 1, 2), Fraction(1, 2), tuple(map(Fraction, coeffs)))
+    with pytest.raises(ValueError, match="palindromic"):
+        poly_roots_on_circle(poly)
 
 
 @pytest.mark.parametrize(
@@ -152,16 +170,24 @@ def test_roots_known_factorization():
 )
 def test_roots_at_dyadic_points(coeffs, upper):
     poly = PartitionPolynomial(TreeSpec("rooted", 1, 2), Fraction(1, 2), tuple(map(Fraction, coeffs)))
-    angles = [a for a, _ in poly_roots_on_circle(poly)]
+    pairs = poly_roots_on_circle(poly)
     expected = [-a for a in upper[::-1]] + upper
-    assert np.allclose(angles, expected, rtol=0, atol=1e-15)
+    assert np.allclose([a for a, _ in pairs], expected, rtol=0, atol=1e-15)
+    # cos(theta) = 0 and -1/2 are dyadic: the isolation hits them exactly
+    for a, w in pairs:
+        if min(abs(abs(a) - math.pi / 2), abs(abs(a) - 2 * math.pi / 3)) <= 1e-15:
+            assert w == 0.0
+        else:
+            assert w <= math.ulp(abs(a) + w)
 
 
 def test_roots_on_circle_exactly():
     poly = partition_poly_recursive(TreeSpec("rooted", 3, 2), Fraction(1, 5))
-    for angle, residual in poly_roots_on_circle(poly):
+    coeffs = np.array([float(c) for c in poly.coeffs])
+    for angle, _ in poly_roots_on_circle(poly):
         assert abs(abs(np.exp(1j * angle)) - 1.0) <= 1e-9
-        assert residual <= 1e-12
+        # a-posteriori backward error, independent of the exact certificate
+        assert abs(np.polyval(coeffs[::-1], np.exp(1j * angle))) / coeffs.sum() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -173,6 +199,8 @@ def test_roots_match_dynamics_at_degree_127_and_255(tree, t):
     angles = np.array([a for a, _ in pairs])
     assert len(angles) == tree.vertex_count
     assert np.all(np.diff(angles) > 0)
+    # each half-width is at most one ulp of its bracket's upper end |angle| + width
+    assert all(w <= math.ulp(abs(a) + w) for a, w in pairs)
     zs = enumerate_zeros(tree, float(t))
     assert np.max(np.abs(angles - zs.angles)) <= 1e-8
 

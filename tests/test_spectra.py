@@ -284,6 +284,18 @@ def test_pointwise_dimension_checks_inputs_first(kwargs, monkeypatch):
 def test_pointwise_dimension_gap_rejection():
     with pytest.raises(OutsideSupportError):
         pointwise_dimension(0.05, 0.5, 2, level=12)
+    with pytest.raises(OutsideSupportError):
+        pointwise_dimension(0.2, 0.6, 2, level=12)  # phi_e(0.6) = 0.593
+
+
+@pytest.mark.parametrize("phi", [math.pi, -math.pi, 4.0])
+def test_pointwise_dimension_refuses_the_seam(phi):
+    # e^{i pi} is interior to the support below t_c: the refusal is the window's
+    # missing room before the seam, not the support
+    assert interior_support(math.pi, 0.2, 2)
+    with pytest.raises(ValueError, match="seam") as exc:
+        pointwise_dimension(phi, 0.2, 2, level=12)
+    assert not isinstance(exc.value, OutsideSupportError)
 
 
 def test_kappa_curve_markers():
