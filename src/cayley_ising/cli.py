@@ -35,6 +35,8 @@ def _parse_t(text: str) -> float:
         value = float(Fraction(text)) if "/" in text else float(text)
     except ZeroDivisionError as exc:
         raise ConfigError(f"t has a zero denominator: {text}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"t must lie in [0, 1), got {text}") from exc
     if not (0 <= value < 1):
         raise ConfigError(f"t must lie in [0, 1), got {text}")
     return value

@@ -298,8 +298,9 @@ def poly_roots_on_circle(p: PartitionPolynomial):
     circle, or one at z = -1 in even degree), a multiple root, or two roots
     closer than float64 resolves raises RuntimeError: missed or duplicated
     roots never pass silently.  Each root comes as (angle, half-width): the
-    half-width in radians bounds |angle - exact angle|, up to the rounding
-    of the bracket's end angles, and is 0.0 for roots hit exactly.
+    half-width in radians of its final bracket between the rounded end
+    angles (0.0 for roots hit exactly), not an error bound by itself, since
+    it leaves out the rounding of those end angles.
     """
     if p.degree > MAX_ROOT_DEGREE:
         raise ValueError(f"root finding capped at degree {MAX_ROOT_DEGREE}, got {p.degree}")

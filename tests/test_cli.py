@@ -54,6 +54,8 @@ def test_exit_codes(tmp_path):
     assert run(["zeros", "--k", 2, "--n", 1, "--t", "0.5", "--out", tmp_path / "no" / "x.csv"]) == 1
     assert run(["nonsense"]) == 1
     assert run(["zeros", "--k", 2, "--n", 3, "--t", "1/0", "--out", tmp_path / "x.csv"]) == 1
+    # a p/q beyond the double range is out of [0, 1), not a failed computation
+    assert run(["zeros", "--k", 2, "--n", 3, "--t", "1" + "0" * 400 + "/1", "--out", tmp_path / "x.csv"]) == 1
     assert not (tmp_path / "x.csv").exists()
 
 

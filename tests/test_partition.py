@@ -128,7 +128,11 @@ def test_roots_match_dynamics_enumeration():
         assert len(pairs) == tree.vertex_count
         zs = enumerate_zeros(tree, float(tf))
         assert np.allclose([a for a, _ in pairs], zs.angles, atol=1e-10)
-        assert max(w for _, w in pairs) <= 1e-12
+        coeffs = np.array([float(c) for c in poly.coeffs])
+        for a, w in pairs:
+            # a-posteriori backward error, independent of the exact certificate
+            assert abs(np.polyval(coeffs[::-1], np.exp(1j * a))) / coeffs.sum() <= 1e-12
+            assert w <= math.ulp(abs(a) + w)
 
 
 def test_roots_known_factorization():
