@@ -52,6 +52,10 @@ class NoGapError(ValueError):
     """Raised when the zero-free arc is requested below the critical temperature."""
 
 
+class ResolutionError(RuntimeError):
+    """Raised when the input is valid but float64 cannot resolve the answer."""
+
+
 def _validate_t(t: float) -> None:
     if not (0.0 <= t < 1.0):
         raise ValueError(f"temperature variable t must lie in [0, 1), got {t}")
@@ -235,16 +239,15 @@ def tangency(t: float, k: int) -> TangencyData:
 
     The condition k*w*(1-t^2)/((w+t)(1+wt)) = 1 reduces to the quadratic
     t w^2 + ((k+1)t^2 - (k-1)) w + t = 0, whose discriminant is negative
-    exactly on (t_c, 1), giving a reciprocal-conjugate pair on the circle.
+    exactly on (t_c, 1), giving a reciprocal-conjugate pair on the circle;
+    near t_c it cancels, and a rounded value >= 0 is the double root -a/(2t).
     """
     tc = critical_temperature(k)
     if not (tc < t < 1.0):
         raise ValueError(f"tangency requires t in (t_c, 1) = ({tc}, 1), got {t}")
     a = (k + 1) * t * t - (k - 1)
     disc = a * a - 4.0 * t * t
-    if disc >= 0.0:
-        raise RuntimeError(f"discriminant {disc} not negative at t={t}: internal inconsistency")
-    w = complex(-a, math.sqrt(-disc)) / (2.0 * t)
+    w = complex(-a, math.sqrt(max(-disc, 0.0))) / (2.0 * t)
     theta = math.atan2(w.imag, w.real)
     raw = theta - k * theta + 2.0 * k * math.atan2(t * math.sin(theta), 1.0 + t * math.cos(theta))
     return TangencyData(w, theta, abs(math.remainder(raw, TAU)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,7 +139,7 @@ def order_from_kappa(kappa_hat: float) -> int:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-# a singular-exponent fit below this R^2 is flagged unstable, with a warning
+# a singular-exponent fit below this R^2 is flagged unstable (SingularFit.stable)
 _R2_STABLE = 0.98
 
 
@@ -214,7 +213,8 @@ def singular_exponent(
         the level-n resolution supports.  An explicit grid needs at least
         three distinct values, all finite and positive.
     kappa_prior : fixes the subtraction order m (2m < kappa_prior <= 2m+2);
-        defaults to the pointwise-dimension estimate at the same parameters.
+        defaults to the pointwise-dimension estimate at the same parameters
+        with coarsest = delta0/4, which must fit that estimate's room.
 
     All |h_sing(y)| of the grid come from one `singular_part` call, so a fit
     makes at most three `counts` calls: the prior, the resolution probe and
@@ -254,12 +254,9 @@ def singular_exponent(
     if np.any(h_vals <= 0.0):
         raise ValueError("singular part vanished on the y grid; enlarge delta0 or the level")
     slope, r2, fitted = log_log_fit(ys, h_vals)
-    stable = bool(r2 >= _R2_STABLE)
-    if not stable:
-        warnings.warn(f"singular-exponent fit unstable: R^2 = {r2:.4f} < {_R2_STABLE}", stacklevel=2)
     return SingularFit(
         slope, r2, m, tuple(map(float, ys)), tuple(map(float, h_vals)),
-        tuple(map(float, fitted)), stable,
+        tuple(map(float, fitted)), bool(r2 >= _R2_STABLE),
     )
 
 

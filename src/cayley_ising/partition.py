@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import write_csv
+from .core import ResolutionError, write_csv
 from .zeros import TreeSpec
 
 MAX_BRUTEFORCE_VERTICES = 22
@@ -233,7 +233,7 @@ def _isolate(r):
             intervals.append((c, e))
         elif v == 2:
             if e >= cap:
-                raise RuntimeError(
+                raise ValueError(
                     f"root isolation passed the separation bound of {cap} bisections; "
                     "the circle polynomial has a multiple root"
                 )
@@ -295,9 +295,10 @@ def poly_roots_on_circle(p: PartitionPolynomial):
     integer arithmetic (module docstring); the rest are their mirror images
     and, at odd degree, exactly pi.  m roots of Q in (-1, 1) are all the
     roots of P, so each is on the circle; finding fewer (some off the
-    circle, or one at z = -1 in even degree), a multiple root, or two roots
-    closer than float64 resolves raises RuntimeError: missed or duplicated
-    roots never pass silently.  Each root comes as (angle, half-width): the
+    circle, or one at z = -1 in even degree) or a multiple root raises
+    ValueError, since a tree's polynomial has neither, and two roots closer
+    than float64 resolves raise ResolutionError: missed or duplicated roots
+    never pass silently.  Each root comes as (angle, half-width): the
     half-width in radians of its final bracket between the rounded end
     angles (0.0 for roots hit exactly), not an error bound by itself, since
     it leaves out the rounding of those end angles.
@@ -315,13 +316,13 @@ def poly_roots_on_circle(p: PartitionPolynomial):
     m = len(r) - 1
     exact, intervals = _isolate(r)
     if len(exact) + len(intervals) != m:
-        raise RuntimeError(
+        raise ValueError(
             f"found {len(exact) + len(intervals)} of {m} roots of the circle polynomial "
             "in (-1, 1); the rest are off the unit circle or at z = -1"
         )
     upper = sorted([(_angle(c, e), 0.0) for c, e in exact] + [_refine(r, c, e) for c, e in intervals])
     if any(a == b for (a, _), (b, _) in zip(upper, upper[1:])):
-        raise RuntimeError("two circle roots are closer than float64 resolves; refusing duplicates")
+        raise ResolutionError("two circle roots are closer than float64 resolves; refusing duplicates")
     pi_part = [(math.pi, 0.0)] if p.degree % 2 else []
     return [(-a, w) for a, w in upper[::-1]] + upper + pi_part
 

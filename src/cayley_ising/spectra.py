@@ -18,7 +18,6 @@ fixed-point solver, so it stays independent of the closed form.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -270,13 +269,12 @@ def pointwise_dimension(
 ) -> DimensionFit:
     """Least-squares slope of log mass([phi-d, phi+d]) against log 2d.
 
-    Scales are dyadic, d_j = coarsest * 2^-j.  The coarsest scale is capped
-    so the window stays inside the zero support (and inside the principal
-    branch); the finest is raised until it still holds at least MIN_ATOMS
-    zeros, warning if that truncates the requested range.  An explicit
-    coarsest must be finite and positive and octaves at least 2 (three
-    scales), and |phi| < pi, else ValueError; phi outside the zero support
-    raises OutsideSupportError.
+    Scales are dyadic, d_j = coarsest * 2^-j, with coarsest at most the room
+    before the seam and the zero-free arc (default min(pi/8, room/2)); scales
+    holding fewer than MIN_ATOMS zeros are dropped from `scales`.  An
+    explicit coarsest must be finite, positive and within the room, octaves
+    at least 2 (three scales), and |phi| < pi, else ValueError; phi outside
+    the zero support raises OutsideSupportError.
     """
     if coarsest is not None and not (math.isfinite(coarsest) and coarsest > 0):
         raise ValueError(f"coarsest scale must be finite and positive, got {coarsest}")
@@ -294,17 +292,12 @@ def pointwise_dimension(
         room = min(room, abs(phi) - phi_e(t, k))
     if coarsest is None:
         coarsest = min(math.pi / 8.0, room / 2.0)
+    elif coarsest > room:
+        raise ValueError(f"coarsest scale {coarsest} exceeds the room {room:.6g} left at phi={phi}")
     deltas = coarsest * 0.5 ** np.arange(octaves + 1)
     masses = symmetric_mass(phi, deltas, em)
     enough = masses * em.total >= MIN_ATOMS
-    if not np.all(enough):
-        warnings.warn(
-            f"finest scales hold fewer than {MIN_ATOMS} zeros at level {level}; "
-            "shrinking the scale range",
-            stacklevel=2,
-        )
-        deltas = deltas[enough]
-        masses = masses[enough]
+    deltas, masses = deltas[enough], masses[enough]
     if len(deltas) < 3:
         raise ValueError(
             "fewer than three usable scales; raise the tree level or the coarsest scale"

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU, _validate_k, _validate_t, inverse_moebius_lift, write_csv
+from .core import TAU, ResolutionError, _validate_k, _validate_t, inverse_moebius_lift, write_csv
 
 # bound on the rounding error of the composed lift, in ulp(pi) per unit of
 # G'(phi) (see iterated_lift): a lift that lands within it below pi is
@@ -315,8 +315,9 @@ def _solve_branches(m, tree: TreeSpec, t: float):
         step = np.where((trial > lo) & (trial < hi), newton, phi - 0.5 * (lo + hi))
         step = np.where(np.abs(newton) < ulp, np.where(res < 0.0, -ulp, ulp), step)
         phi = phi - step
-    raise RuntimeError(
-        f"{len(active)} branch solves did not close their bracket in {_MAX_NEWTON} iterations"
+    raise ResolutionError(
+        f"{len(active)} branch solves did not close their bracket in {_MAX_NEWTON} float64 "
+        f"Newton-bisection iterations at t={t}"
     )
 
 
@@ -336,7 +337,8 @@ def enumerate_zeros(
         depend on it.
 
     Only the |V|//2 zeros in (0, pi) are solved; the rest are their mirror
-    images and, for odd |V|, exactly pi.
+    images and, for odd |V|, exactly pi.  A branch float64 cannot solve to
+    tol raises ResolutionError.
     """
     _validate_t(t)
     if not 0.0 < tol < math.inf:
@@ -351,7 +353,7 @@ def enumerate_zeros(
     res = np.abs(res)
     bad = ~(res <= tol)
     if np.any(bad):
-        raise RuntimeError(f"{int(bad.sum())} branch solves exceeded the residual tolerance")
+        raise ResolutionError(f"{int(bad.sum())} branch solves exceeded tol={tol}; float64 cannot resolve them")
 
     odd = n_zeros % 2
     order = np.argsort(phi, kind="stable")

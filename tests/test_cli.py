@@ -232,6 +232,22 @@ def test_free_energy_singular_refuses_zero_delta0(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_free_energy_singular_refuses_a_prior_window_past_the_room(tmp_path, capsys):
+    # the prior's coarsest = delta0/4 = 0.3 exceeds the room 0.2416 before the seam
+    out = tmp_path / "hsing.csv"
+    assert run(["free-energy", "--k", 2, "--t", "0.2", "--n", 30, "--phi", 2.9,
+                "--mode", "singular", "--delta0", 1.2, "--out", out]) == 1
+    assert "room" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zeros_unresolved_is_a_computation_failure(tmp_path, capsys):
+    out = tmp_path / "z.csv"
+    assert run(["zeros", "--k", 2, "--n", 12, "--t", "0.95", "--out", out]) == 2
+    assert "float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_singular_example(tmp_path, capsys):
     out = tmp_path / "hsing.csv"
     assert run(["free-energy", "--k", 2, "--t", "0.2", "--n", 36, "--phi", "0.0",

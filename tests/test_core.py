@@ -7,6 +7,7 @@ import pytest
 from cayley_ising.core import (
     ModelParams,
     NoGapError,
+    ResolutionError,
     critical_temperature,
     disk_root,
     fixed_points,
@@ -199,6 +200,22 @@ def test_phi_e_curve():
         phi_e(0.2, 2)
     values = [phi_e(float(t), 2) for t in np.linspace(0.34, 1.0, 60)]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_phi_e_just_above_tc(k):
+    # a^2 - 4t^2 cancels at t_c; a discriminant rounded to >= 0 is the double root
+    t = critical_temperature(k)
+    for _ in range(6):
+        t = math.nextafter(t, 1.0)
+        value = phi_e(t, k)
+        assert math.isfinite(value) and value >= 0.0
+
+
+def test_resolution_error_is_a_runtime_error():
+    # callers catching RuntimeError, and the CLI's exit 2, keep working
+    assert issubclass(ResolutionError, RuntimeError)
+    assert not issubclass(ResolutionError, ValueError)
 
 
 def test_interior_support():

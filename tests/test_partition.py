@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cayley_ising.core import ResolutionError
 from cayley_ising.partition import (
     PartitionPolynomial,
     partition_poly_bruteforce,
@@ -219,11 +220,18 @@ def test_roots_match_dynamics_at_degree_127_and_255(tree, t):
     ],
 )
 def test_roots_degenerate_inputs_raise(coeffs):
+    # no tree's polynomial has a multiple root or a root off the circle
     poly = PartitionPolynomial(TreeSpec("rooted", 1, 2), Fraction(1, 2), tuple(map(Fraction, coeffs)))
     start = time.perf_counter()
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         poly_roots_on_circle(poly)
     assert time.perf_counter() - start < 1.0
+
+
+def test_roots_closer_than_float64_raise_resolution_error():
+    poly = partition_poly_recursive(TreeSpec("rooted", 3, 3), Fraction(99999, 100000))
+    with pytest.raises(ResolutionError, match="float64"):
+        poly_roots_on_circle(poly)
 
 
 def test_roots_reject_degenerate_t1():

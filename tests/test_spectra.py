@@ -1,6 +1,5 @@
 import math
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -263,22 +262,35 @@ def test_pointwise_dimension_lebesgue():
 def test_pointwise_dimension_insufficient_scales():
     with pytest.raises(ValueError):
         pointwise_dimension(0.9, 0.0, 2, level=4, octaves=5)
+    # scales under MIN_ATOMS zeros are dropped, and the fit shows it
+    assert len(pointwise_dimension(0.9, 0.0, 2, level=10, octaves=5).scales) == 3
+
+
+@pytest.mark.parametrize("coarsest", [1.0, 2.0])
+def test_pointwise_dimension_refuses_a_coarsest_past_the_room(coarsest):
+    # room 0.1416 before the seam: the clipped windows used to read 0.83 and 0.73
+    with pytest.raises(ValueError, match="room") as exc:
+        pointwise_dimension(3.0, 0.2, 2, level=24, coarsest=coarsest)
+    assert not isinstance(exc.value, OutsideSupportError)
+
+
+def test_pointwise_dimension_explicit_coarsest_within_the_room():
+    assert pointwise_dimension(3.0, 0.2, 2, level=24, coarsest=0.1).value == pytest.approx(1.1015, abs=1e-4)
 
 
 @pytest.mark.parametrize("kwargs", [
     {"coarsest": 0.0}, {"coarsest": -0.1}, {"coarsest": math.nan}, {"coarsest": math.inf},
     {"octaves": 1}, {"octaves": 0},
+    {"coarsest": 3.0},  # past the room pi - 0.9 before the seam
 ])
 def test_pointwise_dimension_checks_inputs_first(kwargs, monkeypatch):
-    # refused up front: no counts query, no scale-shrink warning
+    # refused up front: no counts query
     def no_counts(self, phi):
         raise AssertionError("counts queried before the inputs were checked")
 
     monkeypatch.setattr(EmpiricalMeasure, "counts", no_counts)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="coarsest|octaves"):
-            pointwise_dimension(0.9, 0.0, 2, level=18, **kwargs)
+    with pytest.raises(ValueError, match="coarsest|octaves"):
+        pointwise_dimension(0.9, 0.0, 2, level=18, **kwargs)
 
 
 def test_pointwise_dimension_gap_rejection():

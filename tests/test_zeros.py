@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cayley_ising.zeros as zeros_module
 from cayley_ising import verify
-from cayley_ising.core import TAU, ModelParams, lift_derivative, lift_eval, phi_e
+from cayley_ising.core import TAU, ModelParams, ResolutionError, lift_derivative, lift_eval, phi_e
 from cayley_ising.measure import EmpiricalMeasure
 from cayley_ising.zeros import (
     MAX_LEVEL,
@@ -298,6 +298,12 @@ def test_high_t_solves_close(variant, level, k, t):
     zs = enumerate_zeros(tree, t)
     assert_mirror_exact(zs.angles, tree.vertex_count)
     assert np.all(np.diff(zs.angles) >= 0)
+
+
+def test_unresolvable_zeros_raise_resolution_error():
+    # branch m = 809 never closes its bracket: its Newton steps cycle inside it
+    with pytest.raises(ResolutionError, match="float64"):
+        enumerate_zeros(TreeSpec("rooted", 12, 2), 0.95)
 
 
 @pytest.mark.parametrize("level, k, t", [(8, 3, 0.7602548930412794), (15, 2, 0.2), (1, 2, 0.5)])
