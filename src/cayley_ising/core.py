@@ -105,14 +105,25 @@ def lift_derivative(theta, p: ModelParams):
 
 
 def inverse_moebius_lift(u, t: float):
-    """psi_{-t}(u) = u + 2 atan2(t sin u, 1 - t cos u), the lifted argument of
+    """(psi_{-t}(u), dpsi_{-t}/du) from one cos and one sin of u, where
+    psi_{-t}(u) = u + 2 atan2(t sin u, 1 - t cos u) is the lifted argument of
     the inverse Moebius map w -> (w-t)/(1-tw).
 
     It inverts psi_t(theta) = theta - 2 atan2(t sin theta, 1 + t cos theta) on
-    all of R, so lift(y) = x iff y = psi_{-t}((x - phi)/k); its derivative is
-    (1-t^2)/(1 - 2t cos u + t^2).
+    all of R, so lift(y) = x iff y = psi_{-t}((x - phi)/k).  Its derivative
+    is (1-t^2)/|1 - t e^{iu}|^2, the denominator summed from the squares of
+    the two atan2 arguments: in floating point 1 - t cos u >= 1 - t, so it
+    never rounds to 0 as 1 - 2t cos u + t^2 does near t = 1, u = 0.
     """
-    return u + 2.0 * np.arctan2(t * np.sin(u), 1.0 - t * np.cos(u))
+    a, b = np.cos(u), np.sin(u)
+    a *= -t
+    a += 1.0
+    b *= t
+    psi = u + 2.0 * np.arctan2(b, a)
+    a *= a
+    b *= b
+    a += b
+    return psi, (1.0 - t) * (1.0 + t) / a
 
 
 # ---------------------------------------------------------------------------

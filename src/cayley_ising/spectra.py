@@ -196,7 +196,7 @@ def _preimages(targets: np.ndarray, phi: float, t: float, k: int) -> np.ndarray:
     base = float(lift_eval(-math.pi, ModelParams(k, t, phi)))
     j0 = np.ceil((base - targets) / TAU)
     goals = targets[None, :] + TAU * (j0[None, :] + np.arange(k)[:, None])
-    theta = inverse_moebius_lift((goals.ravel() - phi) / k, t)
+    theta, _ = inverse_moebius_lift((goals.ravel() - phi) / k, t)
     return np.clip(theta, -math.pi, math.pi)
 
 

@@ -13,11 +13,16 @@ increasing bijection of R with a closed-form inverse, so at a trial phi the
 target pi + 2pi*m pulls back through the levels to a start x(phi), the
 winding kept in the integer digits of m.  F_m(phi) = phi - x(phi) has
 F_m' >= 1 and its one root in (0, pi) is phi_m, solved per branch by
-safeguarded Newton; |F_m| is the angular residual.
+safeguarded Newton on the bracket (0, pi): a step that would leave the
+bracket, or that is longer than half the step before last, bisects.  The
+Newton starts come from one forward pass of the lift over a grid of one
+node per branch, interpolated at G = pi + 2pi*m; their median distance to
+the root is 1e-5 to 1e-4, so a branch takes about 4 pullbacks.  The zeros
+and |F_m|, the angular residual, rest on the pullback alone.
 
-Counting (measure.EmpiricalMeasure.counts) runs the lift forwards through
-iterated_lift, carried as the circle point w = e^{i psi} next to an int64
-winding: each level applies the Blaschke product w -> z((w+t)/(1+tw))^k in
+Counting (measure.EmpiricalMeasure.counts) and the Newton starts run the
+lift forwards through iterated_lift, carried as the circle point
+w = e^{i psi} next to an int64 winding: each level applies the Blaschke product w -> z((w+t)/(1+tw))^k in
 complex arithmetic and takes two arctan2, one for the lifted Moebius angle
 and one for the new psi, with no sin, cos or remainder.  The seam rule: psi
 lives on (-pi, pi], so where arctan2 returns -pi the angle is set to pi and
@@ -52,8 +57,9 @@ MAX_VERTICES = 1 << 62
 # more than a float holds (the free energy divides by |V|) and far past the
 # other caps, so refusing it keeps the step schedule and its fold small
 MAX_LEVEL = 1022
-# enumerate_zeros refuses trees with more zeros than this: the solve holds
-# about 35 bytes per zero at its peak on large trees, 0.6 GB at the cap
+# enumerate_zeros refuses trees with more zeros than this: it holds about 33
+# bytes per zero at its peak on large trees (273 MB traced at level 22, 8.4 M
+# zeros), 0.55 GB at the cap
 MAX_ZEROS = 1 << 24
 # a branch solve stops once its bracket is this wide (absolute: near phi = 0
 # a width of one ulp of phi may never be reached)
@@ -236,21 +242,22 @@ class ZeroSet:
         write_csv(path, ("index", "angle_radians", "residual"), zip(range(len(self)), self.angles, self.residuals))
 
 
-def _map_chunks(fn, x, workers):
-    """fn over slices of x, concatenated per output.
+def _map_chunks(fn, xs, workers):
+    """fn over matching slices of the arrays xs, concatenated per output.
 
     One worker slices at _CHUNK; several slice at ceil(n / workers), at least
     _MIN_CHUNK and at most _CHUNK, so every thread gets a share of a small
     tree.  fn is elementwise, so the result does not depend on the slicing."""
+    n = len(xs[0])
     size = _CHUNK
     if workers and workers > 1:
-        size = min(_CHUNK, max(-(-len(x) // workers), _MIN_CHUNK))
-    chunks = [x[i : i + size] for i in range(0, max(len(x), 1), size)]
+        size = min(_CHUNK, max(-(-n // workers), _MIN_CHUNK))
+    chunks = [[x[i : i + size] for x in xs] for i in range(0, max(n, 1), size)]
     if workers and workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, chunks))
+            parts = list(pool.map(lambda c: fn(*c), chunks))
     else:
-        parts = [fn(c) for c in chunks]
+        parts = [fn(*c) for c in chunks]
     return [np.concatenate(out) for out in zip(*parts)]
 
 
@@ -267,29 +274,37 @@ def _pullback(phi, m, steps, t):
     n = m
     for k in reversed(steps):
         n, r = np.divmod(n, k)
-        u = (x - phi + TAU * r) / k
-        x = inverse_moebius_lift(u, t)
-        dx = (dx - 1.0) * ((1.0 - t * t) / k) / (1.0 + t * t - 2.0 * t * np.cos(u))
+        u = x - phi
+        u += TAU * r
+        u /= k
+        x, slope = inverse_moebius_lift(u, t)
+        dx -= 1.0
+        dx *= slope
+        dx /= k
     return phi - x - TAU * n, 1.0 - dx
 
 
-def _solve_branches(m, tree: TreeSpec, t: float):
-    """Solve F_m(phi) = 0 on (0, pi) by safeguarded Newton from the t = 0
-    zero (2m+1)pi/|V|, returning (phi, F_m(phi)) in the order of m.
+def _solve_branches(m, start, tree: TreeSpec, t: float):
+    """Solve F_m(phi) = 0 on (0, pi) by safeguarded Newton from start,
+    returning (phi, F_m(phi)) in the order of m.
 
-    The bracket keeps lo < root <= hi (F < 0 at lo, F >= 0 at hi); a Newton
-    step that leaves it becomes a bisection.  A branch stops once
-    hi - lo <= ulp(pi), an absolute width, so one ulp here is
-    max(ulp(phi), ulp(pi)/2); a Newton step under one ulp becomes a step of
-    one ulp towards the root, which crosses it and closes the bracket.  The
-    solve returns whichever end has the smaller |F|.
+    The bracket keeps lo < root <= hi (F < 0 at lo, F >= 0 at hi).  A Newton
+    step becomes a bisection when it would leave the bracket, or when it is
+    longer than half the step before last (rtsafe's rule, Numerical Recipes
+    9.4), which breaks a cycle of steps that stay inside the bracket.  A
+    branch stops once hi - lo <= ulp(pi), an absolute width, so one ulp here
+    is max(ulp(phi), ulp(pi)/2); a Newton step under one ulp becomes a step
+    of one ulp towards the root, which crosses it and closes the bracket.
+    The solve returns whichever end has the smaller |F|.
     """
     out_phi, out_res = np.empty(len(m)), np.empty(len(m))
     active = np.arange(len(m))
     lo, hi = np.zeros(len(m)), np.full(len(m), math.pi)
     # the ends 0 and pi are never returned as zeros
     res_lo, res_hi = np.full(len(m), -math.inf), np.full(len(m), math.inf)
-    phi = (2 * m + 1) * (math.pi / tree.vertex_count)
+    # the last step and the one before it, both the bracket width at first
+    last, before = np.full(len(m), math.pi), np.full(len(m), math.pi)
+    phi = start
     for _ in range(_MAX_NEWTON):
         if not active.size:
             return out_phi, out_res
@@ -305,20 +320,39 @@ def _solve_branches(m, tree: TreeSpec, t: float):
             out_phi[at] = np.where(take_hi, hi, lo)[done]
             out_res[at] = np.where(take_hi, res_hi, res_lo)[done]
             keep = ~done
-            active, m, lo, hi, res_lo, res_hi, phi, res, deriv = (
-                a[keep] for a in (active, m, lo, hi, res_lo, res_hi, phi, res, deriv)
+            active, m, lo, hi, res_lo, res_hi, phi, res, deriv, last, before = (
+                a[keep] for a in (active, m, lo, hi, res_lo, res_hi, phi, res, deriv, last, before)
             )
 
         newton = res / deriv
         ulp = np.maximum(np.spacing(phi), 0.5 * _WIDTH)
         trial = phi - newton
-        step = np.where((trial > lo) & (trial < hi), newton, phi - 0.5 * (lo + hi))
+        newton_ok = (trial > lo) & (trial < hi) & (np.abs(newton) <= 0.5 * before)
+        step = np.where(newton_ok, newton, phi - 0.5 * (lo + hi))
         step = np.where(np.abs(newton) < ulp, np.where(res < 0.0, -ulp, ulp), step)
+        before, last = last, np.abs(step)
         phi = phi - step
     raise ResolutionError(
         f"{len(active)} branch solves did not close their bracket in {_MAX_NEWTON} float64 "
         f"Newton-bisection iterations at t={t}"
     )
+
+
+def _newton_starts(m, tree: TreeSpec, t: float, workers):
+    """A start for each branch m, read off one forward pass of the lift:
+    G = psi + 2pi*winding on a grid of one node per branch across [0, pi],
+    interpolated linearly at G = pi + 2pi*m.  The grid is lifted in chunks,
+    so it never holds more than _CHUNK nodes of lift scratch.  A start is
+    kept strictly inside (0, pi): the ends are never returned as zeros."""
+
+    def lifted(phi):
+        psi, wind, _ = iterated_lift(phi, tree, t)
+        return (psi + TAU * wind,)
+
+    grid = np.linspace(0.0, math.pi, len(m) + 1)
+    (g,) = _map_chunks(lifted, [grid], workers)
+    start = np.interp(math.pi + TAU * m, g, grid)
+    return np.clip(start, np.nextafter(0.0, 1.0), np.nextafter(math.pi, 0.0), out=start)
 
 
 def enumerate_zeros(
@@ -332,8 +366,8 @@ def enumerate_zeros(
     tol : angular residual tolerance; each returned angle satisfies
         |F_m(phi)| <= tol, and since F_m' >= 1 this bounds |phi - phi_m|
         up to the rounding of F_m.
-    workers : number of threads (>= 1, None for one) for the chunked branch
-        solves; each branch is solved on its own, so the output does not
+    workers : number of threads (>= 1, None for one) for the chunked grid
+        lift and branch solves; both are elementwise, so the output does not
         depend on it.
 
     Only the |V|//2 zeros in (0, pi) are solved; the rest are their mirror
@@ -349,7 +383,10 @@ def enumerate_zeros(
     if n_zeros > MAX_ZEROS:
         raise ValueError(f"{n_zeros} zeros exceed the enumeration cap of {MAX_ZEROS}")
     m = np.arange(n_zeros // 2, dtype=np.int64)
-    phi, res = _map_chunks(lambda c: _solve_branches(c, tree, t), m, workers)
+    # the starts are freed once solved, before the output arrays are built
+    phi, res = _map_chunks(
+        lambda mc, sc: _solve_branches(mc, sc, tree, t), [m, _newton_starts(m, tree, t, workers)], workers
+    )
     res = np.abs(res)
     bad = ~(res <= tol)
     if np.any(bad):

@@ -12,6 +12,7 @@ from cayley_ising.core import (
     disk_root,
     fixed_points,
     interior_support,
+    inverse_moebius_lift,
     lift_derivative,
     lift_eval,
     phi_e,
@@ -223,3 +224,21 @@ def test_interior_support():
     assert not interior_support(0.0, 0.5, 2)
     assert interior_support(1.0, 0.5, 2)  # phi_e(0.5) ~ 0.307 < 1
     assert not interior_support(0.3, 0.5, 2)
+
+
+@pytest.mark.parametrize("t, rtol", [(0.0, 1e-15), (0.3, 1e-13), (0.9, 1e-13), (1.0 - 1e-12, 1e-3)])
+def test_inverse_moebius_lift_slope(t, rtol):
+    u = np.concatenate([[0.0], np.geomspace(1e-9, 3.0, 200)])
+    u = np.concatenate([-u[::-1], u, u + 2.0 * math.pi])
+    psi, slope = inverse_moebius_lift(u, t)
+    # psi itself keeps its expression, bit for bit (the MME preimages use it)
+    assert np.array_equal(psi, u + 2.0 * np.arctan2(t * np.sin(u), 1.0 - t * np.cos(u)))
+    # against 1 - 2t cos u + t^2 = (1-t)^2 + 4t sin^2(u/2), where nothing cancels;
+    # its relative error is at most about eps/(1-t)
+    reference = (1.0 - t) * (1.0 + t) / ((1.0 - t) ** 2 + 4.0 * t * np.sin(0.5 * u) ** 2)
+    np.testing.assert_allclose(slope, reference, rtol=rtol)
+    # psi_{-t} inverts psi_t(theta) = theta - 2 atan2(t sin theta, 1 + t cos theta),
+    # checked where that forward form still resolves it
+    back = psi - 2.0 * np.arctan2(t * np.sin(psi), 1.0 + t * np.cos(psi))
+    if t < 0.95:
+        np.testing.assert_allclose(back, u, rtol=0, atol=1e-12)

@@ -29,8 +29,8 @@ def test_tracer_installs_and_restores_every_hook():
 
 def test_traced_enumeration_and_counts_reach_the_lift():
     # the per-layer metrics are read off the wrapped names, looked up at call
-    # time: enumeration solves by pullback and makes no lift pass, so every
-    # lift point-level comes from the 16 counted angles
+    # time: enumeration lifts a grid of |V|//2 + 1 nodes for its Newton
+    # starts, and the 16 counted angles add the rest
     tree = TreeSpec("rooted", 6, 2)
     tracer = Tracer()
     tracer.install()
@@ -40,7 +40,8 @@ def test_traced_enumeration_and_counts_reach_the_lift():
     finally:
         tracer.remove()
     assert tracer.counts["zeros.zeros_requested"] == tree.vertex_count
-    assert tracer.counts["zeros.lift_point_levels"] == 16 * tree.level
+    grid_nodes = tree.vertex_count // 2 + 1
+    assert tracer.counts["zeros.lift_point_levels"] == (grid_nodes + 16) * tree.level
 
 
 def test_traced_birkhoff_and_kappa_curve_keep_their_layer_figures():

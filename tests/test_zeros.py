@@ -300,10 +300,56 @@ def test_high_t_solves_close(variant, level, k, t):
     assert np.all(np.diff(zs.angles) >= 0)
 
 
-def test_unresolvable_zeros_raise_resolution_error():
-    # branch m = 809 never closes its bracket: its Newton steps cycle inside it
+def test_unresolvable_zeros_raise_resolution_error(monkeypatch):
+    tree = TreeSpec("rooted", 12, 2)
+    # no float64 residual reaches 1e-300
     with pytest.raises(ResolutionError, match="float64"):
-        enumerate_zeros(TreeSpec("rooted", 12, 2), 0.95)
+        enumerate_zeros(tree, 0.95, tol=1e-300)
+    # two Newton steps close no bracket
+    monkeypatch.setattr(zeros_module, "_MAX_NEWTON", 2)
+    with pytest.raises(ResolutionError, match="float64"):
+        enumerate_zeros(tree, 0.95)
+
+
+@pytest.mark.parametrize("level", [12, 13])
+def test_newton_safeguard_breaks_cycles_inside_the_bracket(level):
+    # from the t = 0 zero (2m+1)pi/|V|, the Newton iterates of these branches
+    # settle into a two-cycle, about 0.79 <-> 2.96, whose steps both stay
+    # inside the bracket; only the step-length rule bisects out of it
+    tree = TreeSpec("rooted", level, 2)
+    m = np.array([809, 1619], dtype=np.int64)
+    start = (2 * m + 1) * (math.pi / tree.vertex_count)
+    phi, res = zeros_module._solve_branches(m, start, tree, 0.95)
+    assert np.all(np.abs(res) <= 1e-10)
+    assert np.all((phi > 0.0) & (phi < math.pi))
+
+
+@pytest.mark.parametrize("level", [3, 6, 10])
+@pytest.mark.parametrize("eps", [1e-10, 1e-12])
+def test_enumeration_near_t_one(level, eps):
+    # 1 + t^2 - 2t cos u rounded to 0 here, and the pullback slope divided by
+    # it; any numpy warning fails the suite
+    tree = TreeSpec("rooted", level, 2)
+    zs = enumerate_zeros(tree, 1.0 - eps)
+    assert_mirror_exact(zs.angles, tree.vertex_count)
+    assert np.all(zs.residuals <= 1e-10)
+
+
+@pytest.mark.parametrize("level, t, bound", [(13, 0.2, 4.5), (14, 0.9, 5.0)])
+def test_pullbacks_per_zero(monkeypatch, level, t, bound):
+    # Newton starts read off the forward-lift grid take about 4 pullbacks per
+    # branch; from the t = 0 zeros it took 5.8 at t = 0.2 and 8.8 at t = 0.9
+    points = []
+    pullback = zeros_module._pullback
+
+    def spy(phi, *args):
+        points.append(len(phi))
+        return pullback(phi, *args)
+
+    monkeypatch.setattr(zeros_module, "_pullback", spy)
+    tree = TreeSpec("rooted", level, 2)
+    enumerate_zeros(tree, t)
+    assert sum(points) / (tree.vertex_count // 2) <= bound
 
 
 @pytest.mark.parametrize("level, k, t", [(8, 3, 0.7602548930412794), (15, 2, 0.2), (1, 2, 0.5)])
