@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__, core, free_energy, measure, spectra, verify, zeros
 
 
-# _parse_grid refuses grids longer than this before allocating them
+# _parse_grid and measure --grid/--bins refuse grids longer than this
+# before allocating them
 MAX_GRID_POINTS = 1 << 20
 
 
@@ -157,6 +158,9 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    flag, points = ("grid", args.grid) if args.kind == "cdf" else ("bins", args.bins)
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(f"--{flag} {points} asks for more than {MAX_GRID_POINTS} points")
     t = _parse_t(args.t)
     em = measure.EmpiricalMeasure(zeros.TreeSpec(args.tree, args.n, args.k), t)
     if args.kind == "cdf":

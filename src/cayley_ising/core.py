@@ -4,8 +4,11 @@ The degree-k Blaschke-type map w -> z((w+t)/(1+wt))^k preserves the unit
 circle; everything downstream (zero enumeration, empirical measures,
 Lyapunov exponents) is driven by its angular lift, its derivative, its
 fixed points, and the tangency locus where a circle fixed point becomes
-multiple.  The module also holds the one CSV writer and the one JSON writer
-that every artifact goes through.
+multiple.  The lift is k*psi_t + phi, with psi_s the lifted argument of the
+Moebius map w -> (w+s)/(1+sw); moebius_lift is the one statement of psi_s
+and its slope, at s = t for the lift and the gap edge and at s = -t for the
+inverse branches of the zero pullback and the MME.  The module also holds
+the one CSV writer and the one JSON writer that every artifact goes through.
 """
 
 from __future__ import annotations
@@ -87,43 +90,41 @@ class ModelParams:
         return cmath.exp(1j * self.phi)
 
 
-def lift_eval(theta, p: ModelParams):
-    """Angular lift k*theta - 2k*arctan(t sin(theta)/(1+t cos(theta))) + phi.
+def moebius_lift(u, s: float):
+    """(psi_s(u), dpsi_s/du) from one cos and one sin of u, where
+    psi_s(u) = u - 2 atan2(s sin u, 1 + s cos u) is the lifted argument of
+    the Moebius map w -> (w+s)/(1+sw), |s| < 1.
 
-    Accepts scalar or ndarray theta.  The denominator 1 + t cos(theta) is
-    bounded below by 1-t > 0, so the lift is smooth on all of R and
-    satisfies lift(theta + 2pi) = lift(theta) + 2pi k.
-    """
-    k, t = p.k, p.t
-    return k * theta - 2.0 * k * np.arctan2(t * np.sin(theta), 1.0 + t * np.cos(theta)) + p.phi
-
-
-def lift_derivative(theta, p: ModelParams):
-    """d(lift)/d(theta) = k(1-t^2)/(1+2t cos(theta)+t^2) > 0."""
-    k, t = p.k, p.t
-    return k * (1.0 - t * t) / (1.0 + 2.0 * t * np.cos(theta) + t * t)
-
-
-def inverse_moebius_lift(u, t: float):
-    """(psi_{-t}(u), dpsi_{-t}/du) from one cos and one sin of u, where
-    psi_{-t}(u) = u + 2 atan2(t sin u, 1 - t cos u) is the lifted argument of
-    the inverse Moebius map w -> (w-t)/(1-tw).
-
-    It inverts psi_t(theta) = theta - 2 atan2(t sin theta, 1 + t cos theta) on
-    all of R, so lift(y) = x iff y = psi_{-t}((x - phi)/k).  Its derivative
-    is (1-t^2)/|1 - t e^{iu}|^2, the denominator summed from the squares of
-    the two atan2 arguments: in floating point 1 - t cos u >= 1 - t, so it
-    never rounds to 0 as 1 - 2t cos u + t^2 does near t = 1, u = 0.
+    psi_t is the Moebius factor of the lift, k*psi_t + phi, and psi_{-t}
+    inverts it on all of R, so lift(y) = x iff y = psi_{-t}((x - phi)/k).
+    The derivative (1-s^2)/|1 + s e^{iu}|^2 sums its denominator from the
+    squares of the two atan2 arguments: in floating point
+    1 + s cos u >= 1 - |s|, so it never rounds to 0 as 1 + 2s cos u + s^2
+    does near |s| = 1.
     """
     a, b = np.cos(u), np.sin(u)
-    a *= -t
+    a *= s
     a += 1.0
-    b *= t
-    psi = u + 2.0 * np.arctan2(b, a)
+    b *= s
+    psi = u - 2.0 * np.arctan2(b, a)
     a *= a
     b *= b
     a += b
-    return psi, (1.0 - t) * (1.0 + t) / a
+    return psi, (1.0 - s) * (1.0 + s) / a
+
+
+def lift_eval(theta, p: ModelParams):
+    """Angular lift k*psi_t(theta) + phi (see moebius_lift).
+
+    Accepts scalar or ndarray theta.  The lift is smooth on all of R and
+    satisfies lift(theta + 2pi) = lift(theta) + 2pi k.
+    """
+    return p.k * moebius_lift(theta, p.t)[0] + p.phi
+
+
+def lift_derivative(theta, p: ModelParams):
+    """d(lift)/d(theta) = k*psi_t'(theta) = k(1-t^2)/|1 + t e^{i theta}|^2 > 0."""
+    return p.k * moebius_lift(theta, p.t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def tangency(t: float, k: int) -> TangencyData:
     disc = a * a - 4.0 * t * t
     w = complex(-a, math.sqrt(max(-disc, 0.0))) / (2.0 * t)
     theta = math.atan2(w.imag, w.real)
-    raw = theta - k * theta + 2.0 * k * math.atan2(t * math.sin(theta), 1.0 + t * math.cos(theta))
+    raw = theta - k * moebius_lift(theta, t)[0]
     return TangencyData(w, theta, abs(math.remainder(raw, TAU)))
 
 

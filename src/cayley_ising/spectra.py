@@ -11,8 +11,9 @@ Both estimators work through the Moebius factor of the map.  The Birkhoff
 orbits step w = e^{i theta} by w <- z((w+t)/(1+tw))^k, with no angle
 reduction or arctan2 per step.  The pullback inverts the lift
 k*psi_t + phi branch by branch through psi_{-t}, the lifted argument of
-the inverse Moebius map, with no root-finding; it never calls the
-fixed-point solver, so it stays independent of the closed form.
+the inverse Moebius map (core.moebius_lift), with no root-finding, and
+reads each preimage's lift' = k/psi_{-t}' off the same call; it never
+calls the fixed-point solver, so it stays independent of the closed form.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from .core import (
     disk_root,
     fixed_points,
     interior_support,
-    inverse_moebius_lift,
-    lift_derivative,
     lift_eval,
+    moebius_lift,
     phi_e,
     write_csv,
 )
@@ -189,15 +189,16 @@ class MmeEstimate:
     level_means: tuple[float, ...]
 
 
-def _preimages(targets: np.ndarray, phi: float, t: float, k: int) -> np.ndarray:
-    """All k preimages in [-pi, pi] of each target angle under the lift:
-    each goal angle of the branch window [lift(-pi), lift(pi)) inverts in
-    closed form through psi_{-t} (core.inverse_moebius_lift)."""
+def _preimages(targets: np.ndarray, phi: float, t: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All k preimages in [-pi, pi] of each target angle under the lift, with
+    the lift's slope at each: each goal angle of the branch window
+    [lift(-pi), lift(pi)) inverts in closed form through psi_{-t}
+    (core.moebius_lift), and lift' = k / psi_{-t}' there."""
     base = float(lift_eval(-math.pi, ModelParams(k, t, phi)))
     j0 = np.ceil((base - targets) / TAU)
     goals = targets[None, :] + TAU * (j0[None, :] + np.arange(k)[:, None])
-    theta, _ = inverse_moebius_lift((goals.ravel() - phi) / k, t)
-    return np.clip(theta, -math.pi, math.pi)
+    theta, slope = moebius_lift((goals.ravel() - phi) / k, -t)
+    return np.clip(theta, -math.pi, math.pi), k / slope
 
 
 def lyapunov_mme(p: ModelParams, depth: int = 16) -> MmeEstimate:
@@ -223,8 +224,8 @@ def lyapunov_mme(p: ModelParams, depth: int = 16) -> MmeEstimate:
     level = np.array([math.pi])
     level_means = []
     for _ in range(depth):
-        level = _preimages(level, p.phi, p.t, p.k)
-        level_means.append(float(np.mean(np.log(lift_derivative(level, p)))))
+        level, deriv = _preimages(level, p.phi, p.t, p.k)
+        level_means.append(float(np.mean(np.log(deriv))))
     means = np.array(level_means)
     value = float(means.mean())
     stderr = float(means.std(ddof=1) / math.sqrt(len(means)))

@@ -35,12 +35,13 @@ the band below pi inside which a count reads the lift as on the seam.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU, ResolutionError, _validate_k, _validate_t, inverse_moebius_lift, write_csv
+from .core import TAU, ResolutionError, _validate_k, _validate_t, moebius_lift, write_csv
 
 # bound on the rounding error of the composed lift, in ulp(pi) per unit of
 # G'(phi) (see iterated_lift): a lift that lands within it below pi is
@@ -247,14 +248,15 @@ def _map_chunks(fn, xs, workers):
 
     One worker slices at _CHUNK; several slice at ceil(n / workers), at least
     _MIN_CHUNK and at most _CHUNK, so every thread gets a share of a small
-    tree.  fn is elementwise, so the result does not depend on the slicing."""
+    tree, and the pool holds at most one thread per CPU.  fn is elementwise,
+    so the result does not depend on the slicing."""
     n = len(xs[0])
     size = _CHUNK
     if workers and workers > 1:
         size = min(_CHUNK, max(-(-n // workers), _MIN_CHUNK))
     chunks = [[x[i : i + size] for x in xs] for i in range(0, max(n, 1), size)]
     if workers and workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(lambda c: fn(*c), chunks))
     else:
         parts = [fn(*c) for c in chunks]
@@ -277,7 +279,7 @@ def _pullback(phi, m, steps, t):
         u = x - phi
         u += TAU * r
         u /= k
-        x, slope = inverse_moebius_lift(u, t)
+        x, slope = moebius_lift(u, -t)
         dx -= 1.0
         dx *= slope
         dx /= k

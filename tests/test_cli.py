@@ -114,10 +114,18 @@ def test_phi_e_curve(tmp_path):
 
 
 def test_grid_cap_refuses_before_allocating(tmp_path, capsys):
-    # 6.5e11 points would need 4.7 TiB
-    assert run(["phi-e", "--k", 2, "--t-grid", "0.34:0.99:1e-12", "--out", tmp_path / "pe.csv"]) == 1
-    assert "more than" in capsys.readouterr().err
-    assert not (tmp_path / "pe.csv").exists()
+    # 6.5e11 points would need 4.7 TiB; one point past the cap is refused too
+    too_many = cli.MAX_GRID_POINTS + 1
+    cases = [
+        ["phi-e", "--k", 2, "--t-grid", "0.34:0.99:1e-12"],
+        ["measure", "--k", 2, "--n", 6, "--t", "0.5", "--kind", "cdf", "--grid", too_many],
+        ["measure", "--k", 2, "--n", 6, "--t", "0.5", "--kind", "hist", "--bins", too_many],
+    ]
+    for i, args in enumerate(cases):
+        out = tmp_path / f"grid{i}.csv"
+        assert run(args + ["--out", out]) == 1
+        assert "more than" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("args, part", [

@@ -12,9 +12,9 @@ from cayley_ising.core import (
     disk_root,
     fixed_points,
     interior_support,
-    inverse_moebius_lift,
     lift_derivative,
     lift_eval,
+    moebius_lift,
     phi_e,
     tangency,
 )
@@ -227,18 +227,38 @@ def test_interior_support():
 
 
 @pytest.mark.parametrize("t, rtol", [(0.0, 1e-15), (0.3, 1e-13), (0.9, 1e-13), (1.0 - 1e-12, 1e-3)])
-def test_inverse_moebius_lift_slope(t, rtol):
+def test_moebius_lift_slope(t, rtol):
     u = np.concatenate([[0.0], np.geomspace(1e-9, 3.0, 200)])
     u = np.concatenate([-u[::-1], u, u + 2.0 * math.pi])
-    psi, slope = inverse_moebius_lift(u, t)
-    # psi itself keeps its expression, bit for bit (the MME preimages use it)
+    psi, slope = moebius_lift(u, -t)
+    # psi_{-t} keeps its expression, bit for bit (the pullbacks use it)
     assert np.array_equal(psi, u + 2.0 * np.arctan2(t * np.sin(u), 1.0 - t * np.cos(u)))
     # against 1 - 2t cos u + t^2 = (1-t)^2 + 4t sin^2(u/2), where nothing cancels;
     # its relative error is at most about eps/(1-t)
     reference = (1.0 - t) * (1.0 + t) / ((1.0 - t) ** 2 + 4.0 * t * np.sin(0.5 * u) ** 2)
     np.testing.assert_allclose(slope, reference, rtol=rtol)
-    # psi_{-t} inverts psi_t(theta) = theta - 2 atan2(t sin theta, 1 + t cos theta),
-    # checked where that forward form still resolves it
-    back = psi - 2.0 * np.arctan2(t * np.sin(psi), 1.0 + t * np.cos(psi))
+    # s = +t is the forward form psi_t(theta) = theta - 2 atan2(t sin theta, 1 + t cos theta)
+    fwd, fwd_slope = moebius_lift(u, t)
+    assert np.array_equal(fwd, u - 2.0 * np.arctan2(t * np.sin(u), 1.0 + t * np.cos(u)))
+    reference = (1.0 - t) * (1.0 + t) / ((1.0 - t) ** 2 + 4.0 * t * np.cos(0.5 * u) ** 2)
+    np.testing.assert_allclose(fwd_slope, reference, rtol=rtol)
+    # psi_{-t} inverts psi_t, and the slopes multiply to 1, checked where the
+    # forward form still resolves it
+    back, back_slope = moebius_lift(psi, t)
     if t < 0.95:
         np.testing.assert_allclose(back, u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back_slope * slope, 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("t", [1.0 - 1e-8, 1.0 - 1e-10, 1.0 - 1e-12])
+def test_lift_derivative_at_pi_near_t1(k, t):
+    # 1 + 2t cos(pi) + t^2 cancels to (1-t)^2 plus rounding; summing the
+    # squares of the atan2 arguments does not.  The reference is
+    # k(1+t)/(1-t) at the double nearest pi, 1.2e-16 below pi, which at
+    # t = 1 - 1e-12 lowers it by 1.5e-8 relative
+    slope = lift_derivative(math.pi, ModelParams(k, t))
+    reference = k * (1.0 - t) * (1.0 + t) / ((1.0 - t) ** 2 + 4.0 * t * math.cos(0.5 * math.pi) ** 2)
+    assert slope == pytest.approx(reference, rel=1e-9)
+    if t <= 1.0 - 1e-10:
+        assert slope == pytest.approx(k * (1.0 + t) / (1.0 - t), rel=1e-9)

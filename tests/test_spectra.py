@@ -196,11 +196,14 @@ def test_birkhoff_refuses_bad_parameters_before_stepping(phis, ts, match, monkey
 def test_preimages_invert_the_lift():
     p = ModelParams(2, 0.45, 0.8)
     targets = np.array([math.pi, 0.3, -2.0])
-    pre = _preimages(targets, p.phi, p.t, p.k)
+    pre, deriv = _preimages(targets, p.phi, p.t, p.k)
     assert pre.shape == (targets.size * p.k,)
     images = lift_eval(pre, p)
     goal = np.tile(targets, p.k)
     assert np.max(np.abs(np.remainder(images - goal + math.pi, TAU) - math.pi)) <= 1e-9
+    t = p.t
+    reference = p.k * (1.0 - t * t) / ((1.0 - t) ** 2 + 4.0 * t * np.cos(0.5 * pre) ** 2)
+    np.testing.assert_allclose(deriv, reference, rtol=1e-12)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -212,7 +215,7 @@ def test_preimages_invert_the_lift():
 )
 def test_preimages_property(k, t, phi, extra):
     targets = np.array([math.pi, -math.pi, *extra])
-    pre = _preimages(targets, phi, t, k)
+    pre, deriv = _preimages(targets, phi, t, k)
     assert pre.shape == (k * targets.size,)
     assert np.all((pre >= -math.pi) & (pre <= math.pi))
     p = ModelParams(k, t, phi)
@@ -226,6 +229,8 @@ def test_preimages_property(k, t, phi, extra):
     assert np.all(off <= tol)
     branches = np.sort(pre.reshape(k, targets.size), axis=0)
     assert np.all(np.diff(branches, axis=0) > 0.0)
+    reference = k * (1.0 - t * t) / ((1.0 - t) ** 2 + 4.0 * t * np.cos(0.5 * pre) ** 2)
+    np.testing.assert_allclose(deriv, reference, rtol=1e-12)
 
 
 def test_mme_t0_is_exactly_log_k():

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -227,6 +228,33 @@ def test_workers_split_small_trees(monkeypatch):
     assert max(sizes) == -(-half // 2)
     assert a.angles.tobytes() == b.angles.tobytes()
     assert a.residuals.tobytes() == b.residuals.tobytes()
+
+
+def test_thread_pool_bounded_by_cpu_count(monkeypatch):
+    # a chunk can be as small as _MIN_CHUNK, so a huge workers value would
+    # otherwise ask for one OS thread per chunk; this fake pool starts none
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(zeros_module, "ThreadPoolExecutor", SerialPool)
+    tree = TreeSpec("rooted", 14, 2)
+    many = enumerate_zeros(tree, 0.35, workers=10**6)
+    assert requested and max(requested) <= (os.cpu_count() or 1)
+    one = enumerate_zeros(tree, 0.35, workers=1)
+    assert many.angles.tobytes() == one.angles.tobytes()
+    assert many.residuals.tobytes() == one.residuals.tobytes()
 
 
 def test_branch_count_matches_staircase():
