@@ -44,7 +44,10 @@ def _require_finite_z(z: complex) -> None:
         raise ValueError(f"z must be finite, got {z}")
 
 
-@lru_cache(maxsize=16)
+# one zero set at a time: every caller reads one (level, k, t) for all its
+# points before the next, and a set is 16 bytes per zero, 134 MB at level 22
+# and 268 MB at the MAX_ZEROS cap, which a deeper cache would multiply
+@lru_cache(maxsize=1)
 def _cached_angles(level: int, k: int, t: float):
     zs = enumerate_zeros(TreeSpec("rooted", level, k), t)
     return np.exp(1j * zs.angles)

@@ -14,12 +14,13 @@ in rational arithmetic.  A float t is converted exactly, since every
 double is a dyadic rational.
 
 The circle roots are found without rounding.  Lee-Yang puts every root
-on the unit circle, so for the palindromic integer polynomial of degree
-2m (odd degree: z + 1 deflated first) e^{-im theta} P(e^{i theta}) is an
-integer polynomial Q(cos theta) of degree m with m simple roots in
-(-1, 1).  Descartes bisection isolates them on dyadic intervals, and
-bisection on the exact sign of Q refines each to the float angle; the
-half-width of the final angle bracket, in radians, is returned with it.
+on the unit circle, so for the palindromic integer polynomial P of degree
+d, e^{-id theta/2} P(e^{i theta}) = (2 cos(theta/2))^{d mod 2} R(y) with
+R an integer polynomial of degree h = d//2 in y = cos^2(theta/2), built
+by one Clenshaw pass, whose h simple roots lie in (0, 1).  Descartes
+bisection isolates them on dyadic intervals, and bisection on the exact
+sign of R refines each to the float angle; the half-width of the final
+angle bracket, in radians, is returned with it.
 """
 
 from __future__ import annotations
@@ -174,31 +175,29 @@ def _halve(f):
 
 
 def _circle_polynomial(coeffs) -> list[int]:
-    """Integer R(y) = Q(2y - 1), where Q(cos theta) = e^{-im theta} P(e^{i theta})
-    for the degree-2m palindrome P (z + 1 deflated first at odd degree)."""
+    """Primitive integer R(y) of degree h = d//2 in y = cos^2(theta/2), with
+    e^{-id theta/2} P(e^{i theta}) a positive multiple of
+    (2 cos(theta/2))^{d mod 2} R(y) for the degree-d palindrome P.
+
+    With P's coefficients cleared to integers a_i, c_j = a_{ceil(d/2)+j} and
+    s = z + 1/z = 4y - 2, that quotient is sum_j c_j L_j, less c_0 at even
+    d, where L_j = z^j + z^-j (L_0 = 2) at even d and
+    L_j = (z^{j+1/2} + z^{-j-1/2})/(z^{1/2} + z^{-1/2}) (L_0 = 1) at odd d.
+    Both obey L_{j+1} = s L_j - L_{j-1}, so Clenshaw's recurrence
+    b_j = c_j + s b_{j+1} - b_{j+2} sums it as b_0 - b_2 (even d) or
+    b_0 - b_1 (odd d).
+    """
     den = math.lcm(*(Fraction(c).denominator for c in coeffs))
     a = [int(Fraction(c) * den) for c in coeffs]
-    if len(a) % 2 == 0:
-        # odd degree: a palindrome has P(-1) = 0 exactly, so z + 1 divides it
-        s = [0] * (len(a) - 1)
-        s[-1] = a[-1]
-        for j in range(len(a) - 2, 0, -1):
-            s[j - 1] = a[j] - s[j]
-        a = s
-    m = (len(a) - 1) // 2
-    # Q = a_m + 2 sum_j a_{m+j} T_j(x), with T_{j+1} = 2x T_j - T_{j-1}
-    q = [a[m]] + [0] * m
-    t_prev, t_cur = [1], [0, 1]
-    for j in range(1, m + 1):
-        for i, c in enumerate(t_cur):
-            q[i] += 2 * a[m + j] * c
-        t_next = [0] + [2 * c for c in t_cur]
-        for i, c in enumerate(t_prev):
-            t_next[i] -= c
-        t_prev, t_cur = t_cur, t_next
-    # x = 2y - 1: shift by -1 (mirror, shift by +1, mirror back), then scale
-    r = _taylor_shift([c if i % 2 == 0 else -c for i, c in enumerate(q)])
-    r = [(c if i % 2 == 0 else -c) << i for i, c in enumerate(r)]
+    d = len(a) - 1
+    b0, b1, b2 = [], [], []  # b_j, b_{j+1}, b_{j+2} as coefficient lists in y
+    for c in reversed(a[(d + 1) // 2 :]):
+        # (4y - 2) b_{j+1} - b_{j+2}, coefficient by coefficient
+        b = [4 * u - 2 * v - w for u, v, w in zip([0] + b0, b0 + [0], b1 + [0, 0])]
+        b[0] += c
+        b0, b1, b2 = b, b0, b1
+    tail = b1 if d % 2 else b2
+    r = [u - v for u, v in zip(b0, tail + [0] * (len(b0) - len(tail)))]
     g = math.gcd(*r)
     return [c // g for c in r]
 
@@ -291,9 +290,9 @@ def poly_roots_on_circle(p: PartitionPolynomial):
 
     The polynomial must be palindromic with positive coefficients, else
     ValueError: the certificate below holds only for such P.  The
-    m = degree//2 root angles in (0, pi) are isolated and refined in exact
+    h = degree//2 root angles in (0, pi) are isolated and refined in exact
     integer arithmetic (module docstring); the rest are their mirror images
-    and, at odd degree, exactly pi.  m roots of Q in (-1, 1) are all the
+    and, at odd degree, exactly pi.  h roots of R in (0, 1) are all the
     roots of P, so each is on the circle; finding fewer (some off the
     circle, or one at z = -1 in even degree) or a multiple root raises
     ValueError, since a tree's polynomial has neither, and two roots closer
@@ -313,12 +312,12 @@ def poly_roots_on_circle(p: PartitionPolynomial):
         raise ValueError("partition coefficients must be palindromic (c_j = c_{degree-j})")
 
     r = _circle_polynomial(p.coeffs)
-    m = len(r) - 1
+    h = len(r) - 1
     exact, intervals = _isolate(r)
-    if len(exact) + len(intervals) != m:
+    if len(exact) + len(intervals) != h:
         raise ValueError(
-            f"found {len(exact) + len(intervals)} of {m} roots of the circle polynomial "
-            "in (-1, 1); the rest are off the unit circle or at z = -1"
+            f"found {len(exact) + len(intervals)} of {h} roots of the circle polynomial "
+            "in (0, 1); the rest are off the unit circle or at z = -1"
         )
     upper = sorted([(_angle(c, e), 0.0) for c, e in exact] + [_refine(r, c, e) for c, e in intervals])
     if any(a == b for (a, _), (b, _) in zip(upper, upper[1:])):

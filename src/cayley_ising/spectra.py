@@ -24,8 +24,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
+    CIRCLE_BAND,
     TAU,
     ModelParams,
+    ResolutionError,
     critical_temperature,
     disk_root,
     fixed_points,
@@ -60,14 +62,21 @@ def _require_interior(phi: float, t: float, k: int) -> None:
 
 
 def disk_fixed_point(p: ModelParams) -> complex:
-    """The attracting fixed point in the open unit disk."""
+    """The attracting fixed point in the open unit disk.
+
+    Parameters outside the zero support raise OutsideSupportError.  An angle
+    inside the support but so close to the gap edge that no fixed point lies
+    more than CIRCLE_BAND inside the circle raises ResolutionError: the input
+    is valid, but float64 cannot separate the disk root from the circle.
+    """
     _require_interior(p.phi, p.t, p.k)
     (points,) = fixed_points(p.t, p.k, [p.phi])
     root = disk_root(points)
     if root is None:
-        raise OutsideSupportError(
-            f"no disk fixed point found at (phi={p.phi}, t={p.t}); parameters "
-            "are too close to the gap-edge curve"
+        raise ResolutionError(
+            f"no disk fixed point found more than CIRCLE_BAND = {CIRCLE_BAND:g} inside "
+            f"the unit circle at (phi={p.phi}, t={p.t}); the angle is too close to "
+            "the gap-edge curve for float64 to resolve"
         )
     return root.value
 
@@ -383,7 +392,7 @@ def kappa_curve(t: float, k: int, phis) -> list[KappaPoint]:
     plotting.  An in-support angle so close to the gap edge that the solve
     finds no disk root is emitted with w_disk=None and NaN chi and kappa,
     its in_support still True, instead of aborting the curve;
-    disk_fixed_point raises OutsideSupportError there.
+    disk_fixed_point raises ResolutionError there.
     """
     phis = [float(phi) for phi in np.atleast_1d(np.asarray(phis, dtype=float))]
     support = [interior_support(phi, t, k) for phi in phis]

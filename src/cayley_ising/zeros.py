@@ -35,6 +35,7 @@ the band below pi inside which a count reads the lift as on the seam.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -80,8 +81,10 @@ class TreeSpec:
         if self.variant not in ("rooted", "full"):
             raise ValueError(f"variant must be 'rooted' or 'full', got {self.variant!r}")
         _validate_k(self.k)
-        if not 0 <= self.level <= MAX_LEVEL:
-            raise ValueError(f"level must lie in [0, {MAX_LEVEL}], got {self.level}")
+        # an integral float such as 2.0 is refused too: the step schedule
+        # repeats k level times, which needs a true int
+        if not isinstance(self.level, numbers.Integral) or not 0 <= self.level <= MAX_LEVEL:
+            raise ValueError(f"level must lie in [0, {MAX_LEVEL}] and be an integer, got {self.level!r}")
         if self.variant == "full" and self.level < 1:
             raise ValueError("the full tree requires level >= 1")
 

@@ -257,6 +257,17 @@ def test_zeros_unresolved_is_a_computation_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spectra_gap_edge_angle_is_a_computation_failure(tmp_path, capsys):
+    # inside the support, one ulp past phi_e: valid input whose disk root
+    # float64 cannot separate from the circle
+    out = tmp_path / "x.json"
+    assert run(["spectra", "--k", 2, "--t", "0.5078407506772366",
+                "--phi", "0.3278182082463264", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "computation failed" in err and "CIRCLE_BAND" in err
+    assert not out.exists()
+
+
 def test_readme_singular_example(tmp_path, capsys):
     out = tmp_path / "hsing.csv"
     assert run(["free-energy", "--k", 2, "--t", "0.2", "--n", 36, "--phi", "0.0",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cayley_ising import free_energy
 from cayley_ising.free_energy import (
     AtomEvaluationError,
     OnSupportError,
@@ -68,6 +69,13 @@ def test_conjugate_symmetry():
     fe_dn = free_energy_electrostatic(2.0 - 1.0j, 0.2, 2, 10)
     # equal up to summation order of the mirrored atom list
     assert fe_up == pytest.approx(fe_dn, rel=1e-14)
+
+
+def test_zero_set_cache_holds_one_level():
+    # a sweep keeps only the zero set it is reading, not one per level
+    free_energy_electrostatic(2.0 + 1.0j, 0.2, 2, 9)
+    free_energy_electrostatic(2.0 + 1.0j, 0.2, 2, 10)
+    assert free_energy._cached_angles.cache_info().currsize == 1
 
 
 def test_atom_guard():

@@ -9,6 +9,7 @@ import pytest
 from cayley_ising.core import ResolutionError
 from cayley_ising.partition import (
     PartitionPolynomial,
+    _circle_polynomial,
     partition_poly_bruteforce,
     partition_poly_recursive,
     poly_roots_on_circle,
@@ -151,6 +152,44 @@ def test_roots_huge_coefficients():
     c = Fraction(2**1100)
     poly = PartitionPolynomial(TreeSpec("rooted", 1, 2), Fraction(1, 2), (c, c, c))
     assert poly_roots_on_circle(poly) == [(-2 * math.pi / 3, 0.0), (2 * math.pi / 3, 0.0)]
+
+
+def _circle_identity_cases():
+    for variant in ("rooted", "full"):
+        for k in (2, 3, 4):
+            level = 0 if variant == "rooted" else 1
+            while (tree := TreeSpec(variant, level, k)).vertex_count <= 130:
+                for t in (Fraction(1, 5), Fraction(1, 2), Fraction(213, 1000), Fraction(9, 10)):
+                    yield partition_poly_recursive(tree, t).coeffs
+                level += 1
+    for coeffs in ((1, 1), (1, 3, 1), (2, 5, 5, 2), (3, 1, 4, 1, 3), (1, 2, 3, 2, 1), (1, 4, 6, 6, 4, 1)):
+        yield tuple(map(Fraction, coeffs))
+    yield (Fraction(2**1100),) * 3
+
+
+def test_circle_polynomial_defining_identity():
+    # 108 tree polynomials up to degree 130 and 7 other palindromes
+    # y = cos^2(theta/2) = (1 + z)^2 / (4z) and 2 cos(theta/2) = (1 + z) / z^{1/2}
+    # on |z| = 1, so R(y) is right iff 4^h a(z) is a positive multiple of
+    # sum_j r_j (1 + z)^{2j + odd} (4z)^{h - j}, exactly, as integer polynomials
+    cases = 0
+    for coeffs in _circle_identity_cases():
+        den = math.lcm(*(c.denominator for c in coeffs))
+        a = [int(c * den) for c in coeffs]
+        d = len(a) - 1
+        h, odd = divmod(d, 2)
+        r = _circle_polynomial(coeffs)
+        assert len(r) == h + 1
+        lhs = [c << (2 * h) for c in a]
+        rhs = [0] * (d + 1)
+        for j, rj in enumerate(r):
+            n = 2 * j + odd
+            for i in range(n + 1):
+                rhs[h - j + i] += rj * math.comb(n, i) << (2 * (h - j))
+        assert lhs[-1] * rhs[-1] > 0
+        assert [lhs[-1] * c for c in rhs] == [rhs[-1] * c for c in lhs]
+        cases += 1
+    assert cases == 115
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1, 5), (5, 1, 1), (1, 3, 3, 2)])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cayley_ising.core import (
     TAU,
     ModelParams,
+    ResolutionError,
     critical_temperature,
     interior_support,
     lift_derivative,
@@ -391,7 +392,7 @@ def test_kappa_curve_marks_missing_disk_root():
             assert pt.in_support
             try:
                 want = _kappa_one_by_one(t, k, [phi])[0]
-            except OutsideSupportError as err:
+            except ResolutionError as err:
                 assert "no disk fixed point" in str(err)
                 marked += 1
                 assert pt.w_disk is None and math.isnan(pt.chi) and math.isnan(pt.kappa)
@@ -405,7 +406,7 @@ def test_kappa_curve_edge_angle_keeps_the_curve():
     t = 0.5078407506772366
     edge_phi = 0.3278182082463264  # in the support, one ulp past phi_e
     assert interior_support(edge_phi, t, 2)
-    with pytest.raises(OutsideSupportError, match="no disk fixed point"):
+    with pytest.raises(ResolutionError, match="no disk fixed point"):
         disk_fixed_point(ModelParams(2, t, edge_phi))
     got = kappa_curve(t, 2, [1.0, 2.0, edge_phi])
     want = kappa_curve(t, 2, [1.0, 2.0])

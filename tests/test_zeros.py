@@ -42,6 +42,10 @@ def test_tree_spec_validation():
     for variant in ("rooted", "full"):
         with pytest.raises(ValueError, match="level must lie in"):
             TreeSpec(variant, MAX_LEVEL + 1, 2)
+        # a non-integral level is refused when built, not at its first use
+        for level in (2.0, 2.5):
+            with pytest.raises(ValueError, match="integer"):
+                TreeSpec(variant, level, 2)
 
 
 def test_vertex_counts():
