@@ -266,19 +266,30 @@ def _map_chunks(fn, xs, workers):
     return [np.concatenate(out) for out in zip(*parts)]
 
 
-def _pullback(phi, m, steps, t):
+def _digits(m, steps):
+    """The base-k digits of each branch m, top level first, and the top
+    quotient: (q, r) = divmod(n, k) from n = m, one row of r per level, in
+    the smallest unsigned dtype that holds max(steps) - 1.  They depend on
+    m alone, so a solve takes them once, not at every pullback."""
+    digits = np.empty((len(steps), len(m)), np.min_scalar_type(max(steps, default=1) - 1))
+    n = m
+    for row, k in zip(digits, reversed(steps)):
+        n, row[:] = np.divmod(n, k)
+    return digits, n
+
+
+def _pullback(phi, digits, top, steps, t):
     """(F_m(phi), F_m'(phi)): the target x + 2pi*n = pi + 2pi*m pulled back
     through the levels top to bottom, F_m = phi - x - 2pi*n at the bottom.
 
     A level y -> k*psi_t(y) + phi pulls x + 2pi*n back to psi_{-t}(u) + 2pi*q,
     with (q, r) = divmod(n, k) and u = (x - phi + 2pi*r)/k, so x stays of
-    order pi.  dx/dphi starts at 0 and stays negative, so F_m' >= 1.
+    order pi; the digits r and the last quotient, top, come from _digits.
+    dx/dphi starts at 0 and stays negative, so F_m' >= 1.
     """
     x = np.full(len(phi), math.pi)
     dx = np.zeros(len(phi))
-    n = m
-    for k in reversed(steps):
-        n, r = np.divmod(n, k)
+    for r, k in zip(digits, reversed(steps)):
         u = x - phi
         u += TAU * r
         u /= k
@@ -286,7 +297,7 @@ def _pullback(phi, m, steps, t):
         dx -= 1.0
         dx *= slope
         dx /= k
-    return phi - x - TAU * n, 1.0 - dx
+    return phi - x - TAU * top, 1.0 - dx
 
 
 def _solve_branches(m, start, tree: TreeSpec, t: float):
@@ -309,11 +320,12 @@ def _solve_branches(m, start, tree: TreeSpec, t: float):
     res_lo, res_hi = np.full(len(m), -math.inf), np.full(len(m), math.inf)
     # the last step and the one before it, both the bracket width at first
     last, before = np.full(len(m), math.pi), np.full(len(m), math.pi)
+    digits, top = _digits(m, tree.steps)
     phi = start
     for _ in range(_MAX_NEWTON):
         if not active.size:
             return out_phi, out_res
-        res, deriv = _pullback(phi, m, tree.steps, t)
+        res, deriv = _pullback(phi, digits, top, tree.steps, t)
         below = res < 0.0
         lo, res_lo = np.where(below, phi, lo), np.where(below, res, res_lo)
         hi, res_hi = np.where(below, hi, phi), np.where(below, res_hi, res)
@@ -325,9 +337,11 @@ def _solve_branches(m, start, tree: TreeSpec, t: float):
             out_phi[at] = np.where(take_hi, hi, lo)[done]
             out_res[at] = np.where(take_hi, res_hi, res_lo)[done]
             keep = ~done
-            active, m, lo, hi, res_lo, res_hi, phi, res, deriv, last, before = (
-                a[keep] for a in (active, m, lo, hi, res_lo, res_hi, phi, res, deriv, last, before)
-            )
+            # a few arrays at a time, so the copies never double the solve's memory
+            digits, top, active = digits[:, keep], top[keep], active[keep]
+            lo, hi, res_lo, res_hi = lo[keep], hi[keep], res_lo[keep], res_hi[keep]
+            phi, res, deriv = phi[keep], res[keep], deriv[keep]
+            last, before = last[keep], before[keep]
 
         newton = res / deriv
         ulp = np.maximum(np.spacing(phi), 0.5 * _WIDTH)

@@ -226,20 +226,35 @@ def test_interior_support():
     assert not interior_support(0.3, 0.5, 2)
 
 
-@pytest.mark.parametrize("t, rtol", [(0.0, 1e-15), (0.3, 1e-13), (0.9, 1e-13), (1.0 - 1e-12, 1e-3)])
-def test_moebius_lift_slope(t, rtol):
+def _lift_grid():
+    """Angles from 1e-9 to 3 on both sides of 0, and the positive ones a turn on."""
     u = np.concatenate([[0.0], np.geomspace(1e-9, 3.0, 200)])
-    u = np.concatenate([-u[::-1], u, u + 2.0 * math.pi])
+    return np.concatenate([-u[::-1], u, u + 2.0 * math.pi])
+
+
+def _half_angle_lift(u, s):
+    """psi_s(u) = u - 2 arctan((2s/(1+s)) tau/(1 + c tau^2)), tau = tan(u/2),
+    c = (1-s)/(1+s), written out as moebius_lift computes it."""
+    c, g = (1.0 - s) / (1.0 + s), 2.0 * s / (1.0 + s)
+    tau = np.tan(0.5 * u)
+    return u - 2.0 * np.arctan(g * tau / (1.0 + c * tau**2))
+
+
+@pytest.mark.parametrize("t, rtol", [(0.0, 1e-15), (0.3, 1e-13), (0.9, 1e-13), (1.0 - 1e-12, 1e-13)])
+def test_moebius_lift_slope(t, rtol):
+    u = _lift_grid()
     psi, slope = moebius_lift(u, -t)
     # psi_{-t} keeps its expression, bit for bit (the pullbacks use it)
-    assert np.array_equal(psi, u + 2.0 * np.arctan2(t * np.sin(u), 1.0 - t * np.cos(u)))
-    # against 1 - 2t cos u + t^2 = (1-t)^2 + 4t sin^2(u/2), where nothing cancels;
-    # its relative error is at most about eps/(1-t)
+    assert np.array_equal(psi, _half_angle_lift(u, -t))
+    # psi_0 is the identity, exactly
+    assert np.array_equal(moebius_lift(u, 0.0)[0], u)
+    # against 1 - 2t cos u + t^2 = (1-t)^2 + 4t sin^2(u/2), where nothing
+    # cancels, so the reference is good to a few eps at every t
     reference = (1.0 - t) * (1.0 + t) / ((1.0 - t) ** 2 + 4.0 * t * np.sin(0.5 * u) ** 2)
     np.testing.assert_allclose(slope, reference, rtol=rtol)
     # s = +t is the forward form psi_t(theta) = theta - 2 atan2(t sin theta, 1 + t cos theta)
     fwd, fwd_slope = moebius_lift(u, t)
-    assert np.array_equal(fwd, u - 2.0 * np.arctan2(t * np.sin(u), 1.0 + t * np.cos(u)))
+    assert np.array_equal(fwd, _half_angle_lift(u, t))
     reference = (1.0 - t) * (1.0 + t) / ((1.0 - t) ** 2 + 4.0 * t * np.cos(0.5 * u) ** 2)
     np.testing.assert_allclose(fwd_slope, reference, rtol=rtol)
     # psi_{-t} inverts psi_t, and the slopes multiply to 1, checked where the
@@ -250,11 +265,25 @@ def test_moebius_lift_slope(t, rtol):
         np.testing.assert_allclose(back_slope * slope, 1.0, rtol=1e-12)
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="long double is float64 here"
+)
+@pytest.mark.parametrize("s", [0.3, -0.3, 0.9, -0.9, 0.99, -0.99])
+def test_moebius_lift_matches_extended_precision(s):
+    """psi_s lies within 4 ulp(pi) of u - 2 atan2(s sin u, 1 + s cos u) taken
+    in long double, whose own rounding is a few long-double ulp at |s| <= 0.99."""
+    u = _lift_grid()
+    ul, sl = u.astype(np.longdouble), np.longdouble(s)
+    reference = ul - 2 * np.arctan2(sl * np.sin(ul), 1 + sl * np.cos(ul))
+    psi = moebius_lift(u, s)[0]
+    assert float(np.max(np.abs(psi - reference))) <= 4 * math.ulp(math.pi)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("t", [1.0 - 1e-8, 1.0 - 1e-10, 1.0 - 1e-12])
 def test_lift_derivative_at_pi_near_t1(k, t):
-    # 1 + 2t cos(pi) + t^2 cancels to (1-t)^2 plus rounding; summing the
-    # squares of the atan2 arguments does not.  The reference is
+    # 1 + 2t cos(pi) + t^2 cancels to (1-t)^2 plus rounding; the half-angle
+    # slope c(1 + tau^2)/(1 + c^2 tau^2) does not.  The reference is
     # k(1+t)/(1-t) at the double nearest pi, 1.2e-16 below pi, which at
     # t = 1 - 1e-12 lowers it by 1.5e-8 relative
     slope = lift_derivative(math.pi, ModelParams(k, t))

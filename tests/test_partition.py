@@ -204,8 +204,8 @@ def test_roots_refuse_non_palindrome(coeffs):
 @pytest.mark.parametrize(
     "coeffs, upper",
     [
-        # (z^2 + 1)(z^2 + z + 1): Q = 4x^2 + 2x has roots cos(theta) = 0, the
-        # first bisection midpoint, and -1/2
+        # (z^2 + 1)(z^2 + z + 1): R = 8y^2 - 6y + 1 = (2y - 1)(4y - 1) has
+        # roots y = 1/2, the first bisection midpoint, and y = 1/4
         ((1, 1, 2, 1, 1), [math.pi / 2, 2 * math.pi / 3]),
         # (z^2 + 1)(z^4 + z^3 + z^2 + z + 1): the interval right of the
         # midpoint root starts on that root
@@ -217,7 +217,7 @@ def test_roots_at_dyadic_points(coeffs, upper):
     pairs = poly_roots_on_circle(poly)
     expected = [-a for a in upper[::-1]] + upper
     assert np.allclose([a for a, _ in pairs], expected, rtol=0, atol=1e-15)
-    # cos(theta) = 0 and -1/2 are dyadic: the isolation hits them exactly
+    # y = 1/2 and 1/4 are dyadic: the isolation hits them exactly
     for a, w in pairs:
         if min(abs(abs(a) - math.pi / 2), abs(abs(a) - 2 * math.pi / 3)) <= 1e-15:
             assert w == 0.0
@@ -252,9 +252,9 @@ def test_roots_match_dynamics_at_degree_127_and_255(tree, t):
 @pytest.mark.parametrize(
     "coeffs",
     [
-        (9, 12, 22, 12, 9),  # Q = 4(3x + 1)^2: double root at x = -1/3
-        (1, 2, 3, 2, 1),  # Q = (2x + 1)^2: double root at the dyadic x = -1/2
-        (1, 2, 1),  # (z + 1)^2: Q = 2(x + 1), root at x = -1
+        (9, 12, 22, 12, 9),  # R = (3y - 1)^2: double root at y = 1/3
+        (1, 2, 3, 2, 1),  # R = (4y - 1)^2: double root at the dyadic y = 1/4
+        (1, 2, 1),  # (z + 1)^2: R = y, whose root y = 0 (z = -1) lies outside (0, 1)
         (1, 3, 1),  # roots off the circle
     ],
 )
