@@ -21,15 +21,14 @@ the root is 1e-5 to 1e-4, so a branch takes about 4 pullbacks.  The zeros
 and |F_m|, the angular residual, rest on the pullback alone.
 
 Counting (measure.EmpiricalMeasure.counts) and the Newton starts run the
-lift forwards through iterated_lift, carried as the circle point
-w = e^{i psi} next to an int64 winding: each level applies the Blaschke product w -> z((w+t)/(1+tw))^k in
-complex arithmetic and takes two arctan2, one for the lifted Moebius angle
-and one for the new psi, with no sin, cos or remainder.  The seam rule: psi
-lives on (-pi, pi], so where arctan2 returns -pi the angle is set to pi and
-Im w to +0.0, and the starting point is e^{i psi} of the reduced angle,
-never e^{i phi}; otherwise a point at the seam is read from the wrong side
-and its winding is off by k^level.  SEAM_ULPS bounds the lift's rounding,
-the band below pi inside which a count reads the lift as on the seam.
+lift forwards through iterated_lift, on the reduced angle psi next to an
+int64 winding: each level takes x = k*psi_t(psi) + phi from
+core.moebius_lift and reduces it by x - 2pi*rint(x/2pi).  The seam rule:
+psi lives on (-pi, pi], so a reduction that lands just past either end is
+moved by one turn, and the start is the reduced angle of phi; otherwise a
+point at the seam is read from the wrong side and its winding is off by
+k^level.  SEAM_ULPS bounds the lift's rounding, the band below pi inside
+which a count reads the lift as on the seam.
 """
 
 from __future__ import annotations
@@ -45,8 +44,10 @@ import numpy as np
 from .core import TAU, ResolutionError, _validate_k, _validate_t, moebius_lift, write_csv
 
 # bound on the rounding error of the composed lift, in ulp(pi) per unit of
-# G'(phi) (see iterated_lift): a lift that lands within it below pi is
-# counted as being at the seam (measure.EmpiricalMeasure.counts)
+# G'(phi) (see iterated_lift), held against a long-double lift by
+# tests/test_zeros.py::test_lift_rounds_inside_seam_band: a lift that lands
+# within it below pi is counted as being at the seam
+# (measure.EmpiricalMeasure.counts)
 SEAM_ULPS = 16
 
 _CHUNK = 1 << 17
@@ -145,18 +146,17 @@ def iterated_lift(phi, tree: TreeSpec, t: float):
     precision even when G is of order 2pi*|V|.  The outputs have the shape
     of phi; a non-finite phi raises ValueError.
 
-    Each level steps the point w = e^{i psi} of the circle through the
-    Blaschke product w -> z((w+t)/(1+tw))^k with z = e^{i phi}, in complex
-    arithmetic (see _lift_steps); the reduced angle is psi = arg w, and the
-    winding gains the integer that takes arg w to the lifted angle
-    k*arg((w+t)/(1+tw)) + phi.  Seam rule: the start is w = e^{i psi} of the
-    reduced angle, and where arctan2 returns -pi, psi becomes pi and Im w
-    +0.0, so every level reads a point on the seam from the side psi says.
+    Each level takes psi <- k*psi_t(psi) + phi through moebius_lift and
+    reduces it by the nearest multiple of 2pi, which the winding gains, and
+    dG/dphi <- 1 + k*psi_t'(psi)*dG/dphi.  Seam rule: the start is the
+    reduced angle of phi, and a reduction that lands at or below -pi, or
+    above pi, moves by one turn, so every level reads a point on the seam
+    from the side psi says.
 
-    The rounding error of G is a few ulp(pi) per unit of dG/dphi: up to
-    about 9 for t <= 0.95 against an extended-precision angle form.  It
-    grows like 1/(1-t^2) as t -> 1, because near w = -1 the rounding of
-    Re w turns the Moebius angle.
+    The rounding error of G is a few ulp(pi) per unit of dG/dphi against a
+    long-double lift, inside SEAM_ULPS: at most 4 on rooted k=2 and 4 and
+    full k=3 trees and 7.3 on rooted k=8 up to t = 0.99 (9.6 at t = 0.999),
+    over 24000 angles each.
     """
     _validate_t(t)
     if tree.vertex_count > MAX_VERTICES:
@@ -171,63 +171,24 @@ def iterated_lift(phi, tree: TreeSpec, t: float):
     psi = _wrap_angle(flat)
     wind = np.rint((flat - psi) / TAU).astype(np.int64)
     deriv = np.ones_like(psi)
-    _lift_steps(flat, psi, wind, deriv, tree.steps, t)
-    return psi.reshape(phi.shape), wind.reshape(phi.shape), deriv.reshape(phi.shape)
-
-
-def _lift_steps(phi, psi, wind, deriv, steps, t):
-    """Run the composed lift, updating psi, wind and deriv in place.
-
-    With w = e^{i psi}, m = (w + t)(1 + t conj(w)) has m/|m| = (w+t)/(1+tw)
-    and |m| = |1+tw|^2, so the lift's derivative is k(1-t^2)/|m|.  Written
-    out, m = ((1+t^2) Re w + 2t) + i(1-t^2) Im w: the sign of Im m is
-    exactly that of Im w, so arctan2 gives the lifted Moebius angle on
-    (-pi, pi].  The step is w <- z(m/|m|)^k; every factor has modulus one to
-    rounding, so |w| stays within a few ulp of one without renormalising w.
-    """
-    n = len(phi)
-    w, v, z, u = (np.empty(n, complex) for _ in range(4))
-    raw, mod, m_re, m_im = (np.empty(n) for _ in range(4))
-    turns, seam = np.empty(n, np.int64), np.empty(n, bool)
-    np.multiply(psi, 1j, out=u)
-    np.exp(u, out=w)
-    np.multiply(phi, 1j, out=u)
-    np.exp(u, out=z)
-    for k in steps:
-        np.multiply(w.real, 1.0 + t * t, out=m_re)
-        m_re += 2.0 * t
-        np.multiply(w.imag, 1.0 - t * t, out=m_im)
-        np.arctan2(m_im, m_re, out=raw)
-        raw *= k
-        raw += phi
-        # mod <- 1/|m|; psi is free until the new angle is taken
-        np.multiply(m_re, m_re, out=mod)
-        np.multiply(m_im, m_im, out=psi)
-        mod += psi
-        np.sqrt(mod, out=mod)
-        np.divide(1.0, mod, out=mod)
-        deriv *= mod
-        deriv *= k * (1.0 - t * t)
+    for k in tree.steps:
+        psi, slope = moebius_lift(psi, t)
+        slope *= k
+        deriv *= slope
         deriv += 1.0
-        np.multiply(m_re, mod, out=u.real)
-        np.multiply(m_im, mod, out=u.imag)
-        # the products alternate between two buffers: numpy rounds a
-        # one-element complex product written over its own input apart from
-        # its vector loop, which would tie the result to the slicing
-        np.multiply(z, u, out=w)
-        for _ in range(k - 1):
-            np.multiply(w, u, out=v)
-            w, v = v, w
-        np.arctan2(w.imag, w.real, out=psi)
-        np.equal(psi, -math.pi, out=seam)
-        np.copyto(psi, math.pi, where=seam)
-        np.copyto(w.imag, 0.0, where=seam)
-        raw -= psi
-        raw *= 1.0 / TAU
-        np.rint(raw, out=raw)
-        np.copyto(turns, raw, casting="unsafe")
+        psi *= k
+        psi += flat
+        turns = np.rint(psi / TAU)
+        psi -= TAU * turns
+        # x at an odd multiple of pi can land just past either end of (-pi, pi]
+        up, down = psi > math.pi, psi <= -math.pi
+        np.subtract(psi, TAU, out=psi, where=up)
+        np.add(psi, TAU, out=psi, where=down)
+        turns += up
+        turns -= down
         wind *= k
-        wind += turns
+        wind += turns.astype(np.int64)
+    return psi.reshape(phi.shape), wind.reshape(phi.shape), deriv.reshape(phi.shape)
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,25 @@ def test_counts_exact_just_around_every_zero(level):
         assert np.array_equal(m.counts(probes), np.searchsorted(angles, probes, side="right"))
 
 
+@pytest.mark.parametrize(
+    "n, k, t", [(5, 4, 0.99), (4, 8, 0.95), (4, 8, 0.99), (2, 16, 0.9), (11, 2, 0.99)]
+)
+def test_counts_step_at_isolated_zeros_at_high_t(n, k, t):
+    # 40 ulp(pi) off an isolated zero, the count must already have stepped:
+    # G' >= 1, so the probe clears the seam band SEAM_ULPS * G' as long as
+    # the lift rounds inside that band (test_lift_rounds_inside_seam_band);
+    # a lift that rounded past it miscounted up to 411 of these by one
+    m = em(n=n, k=k, t=t)
+    angles = enumerate_zeros(m.tree, m.t).angles
+    ulp = math.ulp(math.pi)
+    gaps = np.diff(np.concatenate([[-math.pi], angles, [math.pi]]))
+    index = np.flatnonzero((gaps[:-1] > 160 * ulp) & (gaps[1:] > 160 * ulp))
+    assert index.size > len(angles) // 2
+    a = angles[index]
+    assert np.array_equal(m.counts(a - 40 * ulp), index)
+    assert np.array_equal(m.counts(a + 40 * ulp), index + 1)
+
+
 def test_counts_reject_nan_and_keep_infinities():
     m = em(n=4, t=0.4)
     with pytest.raises(ValueError, match="nan"):

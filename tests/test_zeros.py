@@ -13,6 +13,7 @@ from cayley_ising.measure import EmpiricalMeasure
 from cayley_ising.zeros import (
     MAX_LEVEL,
     MAX_ZEROS,
+    SEAM_ULPS,
     TreeSpec,
     _wrap_angle,
     enumerate_zeros,
@@ -434,12 +435,27 @@ def test_iterated_lift_keeps_input_shape():
         for got, want in zip(out, expected):
             assert np.shape(got) == np.shape(phi)
             assert np.all(got == want[0])
+    # each angle's lift is the same bits in any slice or view, so neither
+    # workers nor the chunking of _map_chunks can move a count
+    phi = np.random.default_rng(3).uniform(-math.pi, math.pi, 66)
+    whole = iterated_lift(phi, tree, 0.95)
+    for size in range(1, 34):
+        for got, want in zip(iterated_lift(phi[5 : 5 + size], tree, 0.95), whole):
+            assert got.tobytes() == want[5 : 5 + size].tobytes()
+    for got, want in zip(iterated_lift(phi[1::2], tree, 0.95), whole):
+        assert got.tobytes() == want[1::2].tobytes()
 
 
 def theta_form_lift(phi, tree: TreeSpec, t: float):
     """Reference composed lift stepped on the angle itself: lift_eval at each
-    level, the result reduced into [-pi, pi) by np.remainder."""
-    psi = np.remainder(phi + math.pi, TAU) - math.pi
+    level, the result reduced into [-pi, pi) by np.remainder.  The start is
+    reduced into (-pi, pi], as iterated_lift's is, and kept as it is there:
+    reduced to -pi, phi = pi lies an ulp across the repelling fixed point
+    w = -1 of z = -1, which the lift expands by k(1+t)/(1-t) a level, and
+    at rooted k=4, level 9, t = 0.9453125 that start landed 75 rad from
+    iterated_lift's G(pi), where 64 eps G' is 35 rad."""
+    inside = (phi > -math.pi) & (phi <= math.pi)
+    psi = np.where(inside, phi, math.pi - np.remainder(math.pi - phi, TAU))
     wind = np.rint((phi - psi) / TAU)
     for k in tree.steps:
         raw = lift_eval(psi, ModelParams(k, t)) + phi
@@ -485,6 +501,24 @@ def test_angles_match_extended_precision(variant, level, k, t):
     assert float(np.max(np.abs(ref - pos))) <= 4 * math.ulp(math.pi)
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="long double is float64 here"
+)
+@pytest.mark.parametrize("t", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize(
+    "variant, level, k", [("rooted", 30, 2), ("full", 8, 3), ("rooted", 8, 4), ("rooted", 5, 8)]
+)
+def test_lift_rounds_inside_seam_band(variant, level, k, t):
+    """|G - G_ld| <= SEAM_ULPS * ulp(pi) * G' against the long-double lift,
+    so a count outside the seam band is exact (measure.EmpiricalMeasure.counts)."""
+    tree = TreeSpec(variant, level, k)
+    phi = np.random.default_rng(level * k).uniform(-math.pi, math.pi, 4096)
+    psi, wind, deriv = iterated_lift(phi, tree, t)
+    ref_psi, ref_wind, _ = long_double_lift(phi.astype(np.longdouble), tree, t)
+    gap = (psi - ref_psi) + 2 * _PI_LD * (wind - ref_wind)
+    assert np.all(np.abs(gap) <= SEAM_ULPS * math.ulp(math.pi) * deriv)
+
+
 def test_residuals_are_radians():
     """The residual |F_m(phi)| bounds the angle error; at high t it stays at
     the rounding of the pullback."""
@@ -512,12 +546,17 @@ _SEAM_PHIS += [0.0, float(np.nextafter(math.pi, 0.0))]
     phis=st.lists(st.floats(-3.0 * math.pi, 3.0 * math.pi), max_size=24),
 )
 def test_iterated_lift_matches_theta_form(tree, t, phis):
-    """The complex-arithmetic lift agrees with the angle form to the rounding
-    of both, c * eps * G'(phi), with the same winding wherever the angle form
-    does not land within that distance of the seam; enumeration on two
-    threads is byte-identical to one."""
+    """Both sides step moebius_lift, so this holds the seam rule and the
+    winding: iterated_lift agrees with the angle form reduced by
+    np.remainder to c * eps * G'(phi), keeps psi in (-pi, pi] at the seam
+    and its images, and has the same winding wherever the angle form does
+    not land within that distance of the seam; enumeration on two threads
+    is byte-identical to one.  The lift's own rounding is held against long
+    double by test_lift_rounds_inside_seam_band and
+    test_angles_match_extended_precision."""
     phi = np.array(_SEAM_PHIS + phis)
     psi, wind, deriv = iterated_lift(phi, tree, t)
+    assert np.all((psi > -math.pi) & (psi <= math.pi))
     ref_psi, ref_wind = theta_form_lift(phi, tree, t)
     tol = 64.0 * np.finfo(float).eps * deriv
     gap = (psi - ref_psi) + TAU * (wind - ref_wind)
