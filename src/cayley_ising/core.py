@@ -171,14 +171,6 @@ def _fixed_point_poly(z, t: float, k: int) -> np.ndarray:
     return c
 
 
-def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise np.polyval: row i of desc (descending) at every x[i, :]."""
-    y = np.zeros_like(x)
-    for j in range(desc.shape[1]):
-        y = y * x + desc[:, j : j + 1]
-    return y
-
-
 def map_derivative(w: complex, p: ModelParams) -> complex:
     """Complex derivative z*k*(w+t)^(k-1)*(1-t^2)/(1+wt)^(k+1)."""
     k, t = p.k, p.t
@@ -196,10 +188,11 @@ def _sorted_roots(t: float, k: int, zs) -> list[list[complex]]:
     """Roots of P(w) for every field z of a list, sorted by (|w|, arg) per row.
 
     One companion matrix per field, all stacked into one np.linalg.eigvals
-    call, then four Newton steps by row-wise Horner: each row is what
-    np.roots and np.polyval give for that field alone.  At t=0 the degree
-    drops from k+1 to k and the constant term vanishes with the leading one,
-    so w = 0 is appended after the companion roots, as np.roots does.
+    call, then four Newton steps, polyval taking each row's polynomial at
+    that row's roots: each row is what np.roots and np.polyval give for that
+    field alone.  At t=0 the degree drops from k+1 to k and the constant
+    term vanishes with the leading one, so w = 0 is appended after the
+    companion roots, as np.roots does.
     """
     coeffs = _fixed_point_poly(zs, t, k)
     # the leading coefficient -t^k and the constant z t^k vanish together,
@@ -217,8 +210,8 @@ def _sorted_roots(t: float, k: int, zs) -> list[list[complex]]:
 
     dcoeffs = trimmed[:, 1:] * np.arange(1, trimmed.shape[1])
     for _ in range(4):  # Newton polish; companion eigenvalues are close already
-        pv = _horner(trimmed[:, ::-1], roots)
-        dv = _horner(dcoeffs[:, ::-1], roots)
+        pv = np.polynomial.polynomial.polyval(roots, trimmed.T[:, :, None], tensor=False)
+        dv = np.polynomial.polynomial.polyval(roots, dcoeffs.T[:, :, None], tensor=False)
         safe = np.abs(dv) > 1e-30
         roots = np.where(safe, roots - pv / np.where(safe, dv, 1.0), roots)
 

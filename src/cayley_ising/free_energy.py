@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -276,18 +276,14 @@ class FreeEnergyReport:
     magnetization: complex
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "z_re": self.z.real,
-            "z_im": self.z.imag,
-            "t": self.t,
-            "k": self.k,
-            "level": self.level,
-            "f_electrostatic": self.f_electrostatic,
-            "f_recursive": self.f_recursive,
-            "magnetization_re": self.magnetization.real,
-            "magnetization_im": self.magnetization.imag,
-        }
+        """The fields, a complex field f as f_re and f_im, and schema_version 1."""
+        doc = {"schema_version": 1}
+        for name, value in asdict(self).items():
+            if isinstance(value, complex):
+                doc[f"{name}_re"], doc[f"{name}_im"] = value.real, value.imag
+            else:
+                doc[name] = value
+        return doc
 
 
 def free_energy_report(z: complex, t: float, k: int, n: int) -> FreeEnergyReport:

@@ -332,10 +332,6 @@ def check_tangency(quick: bool) -> list[CheckResult]:
     ]
 
 
-def check_counting(quick: bool) -> CheckResult:
-    return CheckResult("zero_counts", not zero_counts(range(5 if quick else 7)), {})
-
-
 def check_zero_sets(rng, quick: bool) -> list[CheckResult]:
     n = 8 if quick else 10
     tree = zeros.TreeSpec("rooted", n, 2)
@@ -370,11 +366,6 @@ def check_gap_and_density(quick: bool) -> list[CheckResult]:
         CheckResult("zero_free_arc", worst_margin >= 0, {"worst_margin": worst_margin}),
         CheckResult("density_gap_decreases", gaps[2] < gaps[1] < gaps[0], {"gaps": gaps}),
     ]
-
-
-def check_rooted_full(quick: bool) -> CheckResult:
-    worst = rooted_full_distance(8 if quick else 12, (0.2, 0.5), 2000 if quick else 10_000)
-    return CheckResult("rooted_full_cdf_distance", worst <= 0.01, {"worst": worst, "bound": 0.01})
 
 
 def check_spectra(seed: int, quick: bool) -> list[CheckResult]:
@@ -450,7 +441,7 @@ def run_verification(seed: int = 0, quick: bool = False) -> dict:
     checks += check_lift_structure(rng, quick)
     checks += check_fixed_points(rng, quick)
     checks += check_tangency(quick)
-    checks.append(check_counting(quick))
+    checks.append(CheckResult("zero_counts", not zero_counts(range(5 if quick else 7)), {}))
     worst, counts_match = oracle_equivalence((1, 2) if quick else (1, 2, 3), (Fraction(1, 5), Fraction(1, 2)))
     checks.append(CheckResult("oracle_equivalence", worst <= 1e-8 and counts_match, {"worst": worst, "bound": 1e-8}))
     checked, mismatches, palindromic = recursion_vs_bruteforce(16 if quick else 22)
@@ -463,7 +454,8 @@ def run_verification(seed: int = 0, quick: bool = False) -> dict:
     )
     checks += check_zero_sets(rng, quick)
     checks += check_gap_and_density(quick)
-    checks.append(check_rooted_full(quick))
+    worst = rooted_full_distance(8 if quick else 12, (0.2, 0.5), 2000 if quick else 10_000)
+    checks.append(CheckResult("rooted_full_cdf_distance", worst <= 0.01, {"worst": worst, "bound": 0.01}))
     checks += check_spectra(seed, quick)
     checks += check_free_energy(rng, quick)
     return {

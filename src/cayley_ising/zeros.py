@@ -11,7 +11,8 @@ m = 0 .. |V|//2 - 1.
 Enumeration reads that condition backwards: each level's lift is an
 increasing bijection of R with a closed-form inverse, so at a trial phi the
 target pi + 2pi*m pulls back through the levels to a start x(phi), the
-winding kept in the integer digits of m.  F_m(phi) = phi - x(phi) has
+winding kept in the integer digits of m, which are all of m: every branch
+m < |V|/2 lies below the product of the steps.  F_m(phi) = phi - x(phi) has
 F_m' >= 1 and its one root in (0, pi) is phi_m, solved per branch by
 safeguarded Newton on the bracket (0, pi): a step that would leave the
 bracket, or that is longer than half the step before last, bisects.  The
@@ -51,8 +52,8 @@ from .core import TAU, ResolutionError, _validate_k, _validate_t, moebius_lift, 
 SEAM_ULPS = 16
 
 _CHUNK = 1 << 17
-# smallest slice handed to a thread when workers > 1
-_MIN_CHUNK = 1 << 12
+# smallest slice: a tree with fewer branches runs as one slice, on no thread
+_MIN_CHUNK = 1 << 14
 
 # int64 winding is exact while |V| stays below this
 MAX_VERTICES = 1 << 62
@@ -107,24 +108,18 @@ class TreeSpec:
         return (self.k,) * (self.level - 1) + (self.k + 1,)
 
     def edges(self):
-        """Edge list (parent, child) with vertices numbered 0..|V|-1, BFS order."""
+        """Edge list (parent, child) with vertices numbered 0..|V|-1, BFS order;
+        the full tree's centre has k+1 children, every other inner vertex k."""
         out = []
         next_id = 1
-        if self.variant == "rooted":
-            queue = [(0, self.level)]
-        else:
-            queue = []
-            for _ in range(self.k + 1):
-                out.append((0, next_id))
-                queue.append((next_id, self.level - 1))
-                next_id += 1
+        queue = [(0, self.level, self.k + (self.variant == "full"))]
         while queue:
-            node, depth = queue.pop(0)
+            node, depth, children = queue.pop(0)
             if depth == 0:
                 continue
-            for _ in range(self.k):
+            for _ in range(children):
                 out.append((node, next_id))
-                queue.append((next_id, depth - 1))
+                queue.append((next_id, depth - 1, self.k))
                 next_id += 1
         return out
 
@@ -210,14 +205,12 @@ class ZeroSet:
 def _map_chunks(fn, xs, workers):
     """fn over matching slices of the arrays xs, concatenated per output.
 
-    One worker slices at _CHUNK; several slice at ceil(n / workers), at least
-    _MIN_CHUNK and at most _CHUNK, so every thread gets a share of a small
-    tree, and the pool holds at most one thread per CPU.  fn is elementwise,
-    so the result does not depend on the slicing."""
+    Slices are ceil(n / workers) long, at least _MIN_CHUNK and at most
+    _CHUNK, so every thread gets a share of a small tree, and the pool holds
+    at most one thread per CPU.  fn is elementwise, so the result does not
+    depend on the slicing."""
     n = len(xs[0])
-    size = _CHUNK
-    if workers and workers > 1:
-        size = min(_CHUNK, max(-(-n // workers), _MIN_CHUNK))
+    size = min(_CHUNK, max(-(-n // (workers or 1)), _MIN_CHUNK))
     chunks = [[x[i : i + size] for x in xs] for i in range(0, max(n, 1), size)]
     if workers and workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
@@ -228,25 +221,25 @@ def _map_chunks(fn, xs, workers):
 
 
 def _digits(m, steps):
-    """The base-k digits of each branch m, top level first, and the top
-    quotient: (q, r) = divmod(n, k) from n = m, one row of r per level, in
-    the smallest unsigned dtype that holds max(steps) - 1.  They depend on
-    m alone, so a solve takes them once, not at every pullback."""
+    """The base-k digits of each branch m, top level first, which are all of
+    m (m < |V|/2 < prod(steps), as every step is >= 2): (q, r) = divmod(n, k)
+    from n = m, one row of r per level, in the smallest unsigned dtype that
+    holds max(steps) - 1.  A solve takes them once, not at every pullback."""
     digits = np.empty((len(steps), len(m)), np.min_scalar_type(max(steps, default=1) - 1))
     n = m
     for row, k in zip(digits, reversed(steps)):
         n, row[:] = np.divmod(n, k)
-    return digits, n
+    return digits
 
 
-def _pullback(phi, digits, top, steps, t):
+def _pullback(phi, digits, steps, t):
     """(F_m(phi), F_m'(phi)): the target x + 2pi*n = pi + 2pi*m pulled back
-    through the levels top to bottom, F_m = phi - x - 2pi*n at the bottom.
+    through the levels top to bottom, F_m = phi - x at the bottom.
 
     A level y -> k*psi_t(y) + phi pulls x + 2pi*n back to psi_{-t}(u) + 2pi*q,
     with (q, r) = divmod(n, k) and u = (x - phi + 2pi*r)/k, so x stays of
-    order pi; the digits r and the last quotient, top, come from _digits.
-    dx/dphi starts at 0 and stays negative, so F_m' >= 1.
+    order pi; the digits r, all of m, come from _digits, so n is 0 at the
+    bottom.  dx/dphi starts at 0 and stays negative, so F_m' >= 1.
     """
     x = np.full(len(phi), math.pi)
     dx = np.zeros(len(phi))
@@ -258,7 +251,7 @@ def _pullback(phi, digits, top, steps, t):
         dx -= 1.0
         dx *= slope
         dx /= k
-    return phi - x - TAU * top, 1.0 - dx
+    return phi - x, 1.0 - dx
 
 
 def _solve_branches(m, start, tree: TreeSpec, t: float):
@@ -281,12 +274,12 @@ def _solve_branches(m, start, tree: TreeSpec, t: float):
     res_lo, res_hi = np.full(len(m), -math.inf), np.full(len(m), math.inf)
     # the last step and the one before it, both the bracket width at first
     last, before = np.full(len(m), math.pi), np.full(len(m), math.pi)
-    digits, top = _digits(m, tree.steps)
+    digits = _digits(m, tree.steps)
     phi = start
     for _ in range(_MAX_NEWTON):
         if not active.size:
             return out_phi, out_res
-        res, deriv = _pullback(phi, digits, top, tree.steps, t)
+        res, deriv = _pullback(phi, digits, tree.steps, t)
         below = res < 0.0
         lo, res_lo = np.where(below, phi, lo), np.where(below, res, res_lo)
         hi, res_hi = np.where(below, hi, phi), np.where(below, res_hi, res)
@@ -299,7 +292,7 @@ def _solve_branches(m, start, tree: TreeSpec, t: float):
             out_res[at] = np.where(take_hi, res_hi, res_lo)[done]
             keep = ~done
             # a few arrays at a time, so the copies never double the solve's memory
-            digits, top, active = digits[:, keep], top[keep], active[keep]
+            digits, active = digits[:, keep], active[keep]
             lo, hi, res_lo, res_hi = lo[keep], hi[keep], res_lo[keep], res_hi[keep]
             phi, res, deriv = phi[keep], res[keep], deriv[keep]
             last, before = last[keep], before[keep]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import cayley_ising
-from cayley_ising import cli, free_energy, zeros
+from cayley_ising import cli, core, free_energy, verify, zeros
 from cayley_ising.cli import main
 
 
@@ -95,6 +96,28 @@ def test_deep_level_refused_before_the_schedule(tmp_path, monkeypatch, capsys, a
     assert run(args + ["--n", 10**7, "--out", tmp_path / "z.csv"]) == 1
     assert "level must lie in" in capsys.readouterr().err
     assert not (tmp_path / "z.csv").exists()
+
+
+def test_verify_quick_report(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert run(["verify", "--quick", "--seed", 0, "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = lines[:-2]
+    assert checks and all(line.startswith("PASS ") for line in checks)
+    assert lines[-1] == "verification passed"
+    digest = lines[-2].removeprefix("report sha256: ")
+    assert digest == hashlib.sha256(out.read_bytes()).hexdigest()
+    text = core.json_text(verify.run_verification(seed=0, quick=True))
+    assert digest == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_failure_exits_3(monkeypatch, capsys):
+    report = {"checks": {"zero_counts": {"passed": False, "observed": {}}}, "all_passed": False}
+    monkeypatch.setattr(verify, "run_verification", lambda seed, quick: report)
+    assert run(["verify", "--quick"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL zero_counts" in out
+    assert out.splitlines()[-1] == "verification FAILED"
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -199,6 +199,8 @@ def test_phi_e_curve():
     assert phi_e(0.4, 2) == pytest.approx(0.08369042447459141, abs=1e-12)
     with pytest.raises(NoGapError):
         phi_e(0.2, 2)
+    with pytest.raises(ValueError, match=r"must lie in \[t_c, 1\]"):
+        phi_e(1.5, 2)
     values = [phi_e(float(t), 2) for t in np.linspace(0.34, 1.0, 60)]
     assert all(b > a for a, b in zip(values, values[1:]))
 

@@ -80,9 +80,17 @@ def test_zero_set_cache_holds_one_level():
 
 def test_atom_guard():
     zs = enumerate_zeros(TreeSpec("rooted", 6, 2), 0.5)
-    atom = np.exp(1j * zs.angles[3])
+    atom = np.exp(1j * zs.angles)[3]
     with pytest.raises(AtomEvaluationError):
         free_energy_recursive(complex(atom), 0.5, 2, 6)
+    with pytest.raises(AtomEvaluationError):
+        free_energy_electrostatic(complex(atom), 0.5, 2, 6)
+
+
+@pytest.mark.parametrize("route", [free_energy_electrostatic, free_energy_recursive])
+def test_free_energy_refuses_the_pole_at_zero(route):
+    with pytest.raises(ValueError, match="pole"):
+        route(0, 0.3, 2, 6)
 
 
 def test_magnetization_limits_and_symmetry():
@@ -187,6 +195,14 @@ def test_singular_part_refuses_bad_y(y, counts_calls):
         singular_part(np.array([0.01, y]), 0.0, 0, em, 0.5)
     with pytest.raises(ValueError, match="y must be finite and positive"):
         singular_exponent(0.0, 0.2, 2, n=10, ys=[0.01, 0.02, y])
+    assert counts_calls == []
+
+
+def test_singular_part_refuses_a_y_past_the_cutoff(counts_calls):
+    # the quadrature starts at y * 2^-14, which for y = 1e5 lies past delta0
+    em = EmpiricalMeasure(TreeSpec("rooted", 10, 2), 0.2)
+    with pytest.raises(ValueError, match="too large for the cutoff"):
+        singular_part(1e5, 0.5, 0, em, 0.5)
     assert counts_calls == []
 
 

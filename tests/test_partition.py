@@ -256,6 +256,7 @@ def test_roots_match_dynamics_at_degree_127_and_255(tree, t):
         (1, 2, 3, 2, 1),  # R = (4y - 1)^2: double root at the dyadic y = 1/4
         (1, 2, 1),  # (z + 1)^2: R = y, whose root y = 0 (z = -1) lies outside (0, 1)
         (1, 3, 1),  # roots off the circle
+        (1, 0, 1),  # z^2 + 1: palindromic, roots on the circle, but a zero coefficient
     ],
 )
 def test_roots_degenerate_inputs_raise(coeffs):
@@ -265,6 +266,14 @@ def test_roots_degenerate_inputs_raise(coeffs):
     with pytest.raises(ValueError):
         poly_roots_on_circle(poly)
     assert time.perf_counter() - start < 1.0
+
+
+def test_roots_refuse_a_degree_past_the_cap():
+    # degree 4097 is refused before the coefficients are read: they are not a palindrome
+    coeffs = (Fraction(1),) * 4097 + (Fraction(2),)
+    poly = PartitionPolynomial(TreeSpec("rooted", 1, 2), Fraction(1, 2), coeffs)
+    with pytest.raises(ValueError, match="capped at degree 4096"):
+        poly_roots_on_circle(poly)
 
 
 def test_roots_closer_than_float64_raise_resolution_error():

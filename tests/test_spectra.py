@@ -280,6 +280,15 @@ def test_pointwise_dimension_refuses_a_coarsest_past_the_room(coarsest):
     assert not isinstance(exc.value, OutsideSupportError)
 
 
+def test_pointwise_dimension_room_ends_at_the_gap_edge():
+    # above t_c the room at phi = 0.5 is 0.5 - phi_e = 0.1926, not pi - 0.5;
+    # the default coarsest half-width is room/2, so the widest scale is room
+    room = 0.5 - phi_e(0.5, 2)
+    assert pointwise_dimension(0.5, 0.5, 2).scales[0] == room
+    with pytest.raises(ValueError, match="exceeds the room 0.192605"):
+        pointwise_dimension(0.5, 0.5, 2, coarsest=0.2)
+
+
 def test_pointwise_dimension_explicit_coarsest_within_the_room():
     assert pointwise_dimension(3.0, 0.2, 2, level=24, coarsest=0.1).value == pytest.approx(1.1015, abs=1e-4)
 

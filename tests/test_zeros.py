@@ -215,7 +215,8 @@ def test_workers_deterministic_across_chunks(monkeypatch):
 
 
 def test_workers_split_small_trees(monkeypatch):
-    # level 14 has 16383 branches to solve, one _CHUNK slice for one worker
+    # level 15 has 32767 branches to solve: one _CHUNK slice for one worker,
+    # two slices of at least _MIN_CHUNK for two
     sizes = []
     solve = zeros_module._solve_branches
 
@@ -224,7 +225,7 @@ def test_workers_split_small_trees(monkeypatch):
         return solve(m, *args, **kwargs)
 
     monkeypatch.setattr(zeros_module, "_solve_branches", spy)
-    tree = TreeSpec("rooted", 14, 2)
+    tree = TreeSpec("rooted", 15, 2)
     half = tree.vertex_count // 2
     a = enumerate_zeros(tree, 0.35, workers=1)
     assert max(sizes) == half
@@ -254,7 +255,7 @@ def test_thread_pool_bounded_by_cpu_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(zeros_module, "ThreadPoolExecutor", SerialPool)
-    tree = TreeSpec("rooted", 14, 2)
+    tree = TreeSpec("rooted", 15, 2)
     many = enumerate_zeros(tree, 0.35, workers=10**6)
     assert requested and max(requested) <= (os.cpu_count() or 1)
     one = enumerate_zeros(tree, 0.35, workers=1)
@@ -294,6 +295,19 @@ def trees(draw):
     variant = draw(st.sampled_from(["rooted", "full"]))
     level = draw(st.integers(1 if variant == "full" else 0, _LEVELS[k]))
     return TreeSpec(variant, level, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tree=trees())
+def test_digits_are_all_of_the_branch(tree):
+    # the pullback drops the quotient left above the top digit, which is 0:
+    # the digits, read as a mixed-radix number top level first, give back m
+    m = np.arange(tree.vertex_count // 2, dtype=np.int64)
+    rows = list(zip(zeros_module._digits(m, tree.steps), reversed(tree.steps)))
+    value = np.zeros_like(m)
+    for row, k in reversed(rows):
+        value = value * k + row
+    assert np.array_equal(value, m)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
