@@ -184,6 +184,18 @@ def _location(w: complex) -> str:
     return "disk" if r < 1.0 else "exterior"
 
 
+def _deflated(t: float, k: int) -> bool:
+    """True when the leading coefficient -t^k of P is nonzero but below eps.
+
+    It is then below the rounding of the other coefficients (the largest has
+    modulus 1 + O(k t^(k-1))), but its exterior root, near z/t^k, unbalances
+    the companion matrix past what the eigensolver and Newton recover: at
+    k = 8, t = 1e-6 every finite root came out near 1e-48, and the exterior
+    root and its multiplier overflowed to NaN.
+    """
+    return 0.0 < t**k < np.finfo(float).eps
+
+
 def _sorted_roots(t: float, k: int, zs) -> list[list[complex]]:
     """Roots of P(w) for every field z of a list, sorted by (|w|, arg) per row.
 
@@ -193,13 +205,22 @@ def _sorted_roots(t: float, k: int, zs) -> list[list[complex]]:
     field alone.  At t=0 the degree drops from k+1 to k and the constant
     term vanishes with the leading one, so w = 0 is appended after the
     companion roots, as np.roots does.
+
+    When t^k is nonzero but below eps (_deflated), the exterior root is left
+    out: each row holds the k roots of the degree-k companion matrix,
+    polished against the full polynomial, and fixed_points adds the exterior
+    root by reflection.
     """
     coeffs = _fixed_point_poly(zs, t, k)
     # the leading coefficient -t^k and the constant z t^k vanish together,
     # in every row at once
     dropped = bool(t**k == 0.0)
+    deflated = _deflated(t, k)
     trimmed = coeffs[:, : k + 1] if dropped else coeffs
-    desc = (trimmed[:, 1:] if dropped else trimmed)[:, ::-1]
+    # the companion matrix's polynomial, without w = 0 when dropped and
+    # without the exterior root when deflated
+    solved = trimmed[:, 1:] if dropped else coeffs[:, : k + 1] if deflated else coeffs
+    desc = solved[:, ::-1]
     n, m = desc.shape[0], desc.shape[1] - 1
     companion = np.zeros((n, m, m), dtype=complex)
     companion[:, 1:, :-1] = np.eye(m - 1)
@@ -227,14 +248,23 @@ def fixed_points(t: float, k: int, phis) -> list[tuple[FixedPoint, ...]]:
     what the one-angle call fixed_points(t, k, [phis[i]]) gives, bit for bit.
 
     At t=0 the polynomial degree drops from k+1 to k (the exterior fixed
-    point is at infinity), so each tuple holds k roots instead of k+1.
+    point is at infinity), so each tuple holds k roots instead of k+1.  Where
+    t^k is below eps the exterior root comes from the disk root by reflection
+    (_deflated).
     """
     params = [ModelParams(k, t, float(phi)) for phi in phis]
     rows = _sorted_roots(t, k, [p.z for p in params])
-    return [
-        tuple(FixedPoint(w, _location(w), complex(map_derivative(w, p))) for w in row)
-        for p, row in zip(params, rows)
-    ]
+    out = []
+    for p, row in zip(params, rows):
+        points = [FixedPoint(w, _location(w), complex(map_derivative(w, p))) for w in row]
+        if _deflated(t, k):
+            # the map commutes with w -> 1/conj(w), so the exterior root is
+            # the disk root's reflection, with the conjugate multiplier;
+            # map_derivative would overflow at |w| near 1/t^k
+            disk = points[0]
+            points.append(FixedPoint(1.0 / disk.value.conjugate(), "exterior", disk.multiplier.conjugate()))
+        out.append(tuple(points))
+    return out
 
 
 def disk_root(points: tuple[FixedPoint, ...]) -> FixedPoint | None:

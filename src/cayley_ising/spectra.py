@@ -9,7 +9,9 @@ symmetric interval masses).
 
 Both estimators work through the Moebius factor of the map.  The Birkhoff
 orbits step w = e^{i theta} by w <- z((w+t)/(1+tw))^k, with no angle
-reduction or arctan2 per step.  The pullback inverts the lift
+reduction or arctan2 per step, and put w back on |w| = 1 once per stride
+of steps, short enough that an off-circle error grows by at most 2^20
+(_renorm_stride).  The pullback inverts the lift
 k*psi_t + phi branch by branch through psi_{-t}, the lifted argument of
 the inverse Moebius map (core.moebius_lift), with no root-finding, and
 reads each preimage's lift' = k/psi_{-t}' off the same call; it never
@@ -46,6 +48,8 @@ MAX_PULLBACK_LEAVES = 1 << 22
 MIN_ATOMS = 50
 # Birkhoff steps per log of the running product of 1+tw
 _LOG_BLOCK = 16
+# most an off-circle error of w may grow between two renormalisations
+_DRIFT_GROWTH = 2.0**20
 
 
 class OutsideSupportError(ValueError):
@@ -98,6 +102,24 @@ def _chi_acim(w: complex, t: float, k: int) -> float:
     return math.log(k * (1.0 - t * t) / abs(1.0 + w * t) ** 2)
 
 
+def _renorm_stride(k: int, t_max: float) -> int:
+    """Birkhoff steps between renormalisations of w onto |w| = 1: the largest
+    power of two r up to _LOG_BLOCK with L^r <= _DRIFT_GROWTH, or 1 when
+    L itself exceeds it, where L = k(1+t_max)/(1-t_max) is the largest
+    lift' at the largest t.
+
+    A Blaschke product stretches a radial error by |B'| = lift' on the
+    circle, so an error of w off |w| = 1 grows by at most L a step, and by
+    at most _DRIFT_GROWTH = 2^20 over a stride.
+    """
+    growth = k * (1.0 + t_max) / (1.0 - t_max)
+    r = 1
+    # growth^(2r) is taken only when growth^r <= 2^20, so it cannot overflow
+    while 2 * r <= _LOG_BLOCK and growth ** (2 * r) <= _DRIFT_GROWTH:
+        r *= 2
+    return r
+
+
 def birkhoff_exponents(
     phis,
     ts,
@@ -111,15 +133,19 @@ def birkhoff_exponents(
 
     phis is a scalar or 1-D, and ts broadcasts to its shape; one orbit per
     (parameter, seed) pair.  Each orbit runs on w = e^{i theta} by
-    w <- z((w+t)/(1+tw))^k and is put back on |w| = 1 after every step,
-    because the circle repels radially.  Since
-    log lift' = log k(1-t^2) - 2 log|1+tw|, each step writes its 1+tw into
-    one row of a (_LOG_BLOCK, chains) buffer, and the log of the modulus of
-    the buffer's product (one left-to-right multiply.reduce) is taken once
-    per block; each factor has modulus in [1-t, 1+t], so a block cannot
-    underflow.  All chains sit in flat arrays and every operand is complex,
-    ones and the modulus included, so no ufunc call casts.  Returns
-    (means, stderrs) with the standard error taken across seeds.
+    w <- z((w+t)/(1+tw))^k and is put back on |w| = 1 once every r steps,
+    r = _renorm_stride(k, max(ts)), because the circle repels radially: over
+    r steps an off-circle error grows by at most _DRIFT_GROWTH = 2^20, so
+    the few ulp of one step's rounding stay below about 1e-9.  The stride
+    counter runs across burn-in and blocks, so no r + 1 steps in a row go
+    unnormalised.  Since log lift' = log k(1-t^2) - 2 log|1+tw|, each step
+    writes its 1+tw into one row of a (_LOG_BLOCK, chains) buffer, and the
+    log of the modulus of the buffer's product (one left-to-right
+    multiply.reduce) is taken once per block; each factor has modulus in
+    [1-t, 1+t] up to the drift, so a block cannot underflow.  All chains sit
+    in flat arrays and every operand is complex, ones and the modulus
+    included, so no ufunc call casts.  Returns (means, stderrs) with the
+    standard error taken across seeds.
 
     Bad input raises ValueError before any stepping: a step count, burn-in
     or seed count out of range, phis with more than one dimension, ts that
@@ -157,30 +183,38 @@ def birkhoff_exponents(
     mod = np.zeros_like(w)
     mod_re = mod.real
     dens = np.empty((_LOG_BLOCK, w.size), dtype=complex)
+    # the row views made once: slicing a list is cheaper than viewing rows
+    den_rows = list(dens)
     log_sum = np.zeros(w.size)
     # a ufunc call costs about 1 us against tens of ns of arithmetic on a few
     # hundred chains: bound names and positional outputs trim that cost
     mul, add, div, absolute = np.multiply, np.add, np.divide, np.abs
     powers = range(k - 1)
-
-    def step(den):
-        mul(w, t_full, den)
-        add(den, one, den)
-        add(w, t_full, mob)
-        div(mob, den, mob)
-        mul(mob, z, w)
-        for _ in powers:
-            mul(w, mob, w)
-        absolute(w, mod_re)
-        div(w, mod, w)
-
-    for _ in range(burn_in):
-        step(dens[0])
-    for start in range(0, n_steps, _LOG_BLOCK):
-        block = dens[: min(_LOG_BLOCK, n_steps - start)]
-        for den in block:
-            step(den)
-        log_sum += np.log(np.abs(np.multiply.reduce(block, axis=0)))
+    r = _renorm_stride(k, float(ts.max()))
+    total = burn_in + n_steps
+    done = 0
+    while done < total:
+        # the steps up to the next renormalisation, end of burn-in or end of
+        # block; burn-in steps write their 1+tw into rows that go unread
+        if done < burn_in:
+            row, n = 0, min(r - done % r, burn_in - done)
+        else:
+            row = (done - burn_in) % _LOG_BLOCK
+            n = min(r - done % r, _LOG_BLOCK - row, total - done)
+        for den in den_rows[row : row + n]:
+            mul(w, t_full, den)
+            add(den, one, den)
+            add(w, t_full, mob)
+            div(mob, den, mob)
+            mul(mob, z, w)
+            for _ in powers:
+                mul(w, mob, w)
+        done += n
+        if done % r == 0:
+            absolute(w, mod_re)
+            div(w, mod, w)
+        if done > burn_in and (row + n == _LOG_BLOCK or done == total):
+            log_sum += np.log(np.abs(np.multiply.reduce(dens[: row + n], axis=0)))
     per_seed = np.log(k * (1.0 - ts * ts))[:, None] - 2.0 * log_sum.reshape(shape) / n_steps
     means = per_seed.mean(axis=1)
     stderrs = per_seed.std(axis=1, ddof=1) / math.sqrt(n_seeds)

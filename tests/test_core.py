@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cayley_ising.core import (
     interior_support,
     lift_derivative,
     lift_eval,
+    map_derivative,
     moebius_lift,
     phi_e,
     tangency,
@@ -135,6 +137,61 @@ def test_fixed_points_batch_rows_equal_single_angles(k, t):
         for a, b in zip(row, single):
             assert a.location == b.location
             assert np.array([a.value, a.multiplier]).tobytes() == np.array([b.value, b.multiplier]).tobytes()
+
+
+def _full_solve_row(t, k, phi):
+    """One field alone: np.roots of P, four Newton steps by np.polyval, then
+    sorted by (|w|, arg).  This is the solve for rows with t^k >= eps."""
+    z = cmath.exp(1j * phi)
+    desc = np.zeros(k + 2, dtype=complex)
+    for j in range(k + 1):
+        desc[k + 1 - j] += z * math.comb(k, j) * t ** (k - j)
+        desc[k - j] -= math.comb(k, j) * t**j
+    roots, slope = np.roots(desc), np.polyder(desc)
+    for _ in range(4):
+        pv, dv = np.polyval(desc, roots), np.polyval(slope, roots)
+        safe = np.abs(dv) > 1e-30
+        roots = np.where(safe, roots - pv / np.where(safe, dv, 1.0), roots)
+    return sorted(roots.tolist(), key=lambda r: (abs(r), math.atan2(r.imag, r.real)))
+
+
+@pytest.mark.parametrize("t, k", [(1e-4, 2), (0.012, 8), (0.3, 3)])
+def test_fixed_points_keep_the_full_solve_above_eps(t, k):
+    # t^k >= eps: the criterion-7 row and the benchmark's small-t point at
+    # k = 2, and k = 8 just above eps (t = 1e-3 gives t^8 = 1e-24, below it)
+    assert t**k >= np.finfo(float).eps
+    phis = [-2.0, 0.5, 1.0, math.pi]
+    for phi, row in zip(phis, fixed_points(t, k, phis)):
+        assert np.array([p.value for p in row]).tobytes() == np.array(_full_solve_row(t, k, phi)).tobytes()
+
+
+@pytest.mark.parametrize("t, k", [
+    (1e-6, 8), (1e-3, 8), (1e-6, 3), (1e-12, 3), (1e-5, 4), (1e-6, 5), (1e-4, 12), (0.05, 16),
+])
+def test_fixed_points_when_t_power_k_is_below_eps(t, k):
+    # the full companion solve gave k = 8, t = 1e-6 eight "disk" roots near
+    # 1e-48 and a NaN exterior root, with overflow warnings; the truth is one
+    # disk root, k - 1 circle roots and the disk root's reflection
+    assert 0.0 < t**k < np.finfo(float).eps
+    phis = [0.5, -2.0, math.pi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = fixed_points(t, k, phis)
+    for phi, row in zip(phis, rows):
+        assert [p.location for p in row] == ["disk"] + ["circle"] * (k - 1) + ["exterior"]
+        z = cmath.exp(1j * phi)
+        disk, ext = row[0], row[-1]
+        # w = t^k u with u = z / (1 - z k t^(k-1)) up to O(k^2 t^(2k-2) + k t^(k+1))
+        assert abs(disk.value - z * t**k / (1.0 - z * k * t ** (k - 1))) <= 1e-10 * t**k
+        assert ext.value == 1.0 / disk.value.conjugate()
+        assert abs(disk.multiplier) < 1.0 and abs(ext.multiplier) == abs(disk.multiplier)
+        p = ModelParams(k, t, phi)
+        for r in row[1:-1]:
+            w = r.value
+            assert abs(p.z * (w + t) ** k - w * (1.0 + w * t) ** k) <= 1e-13
+            assert r.multiplier == map_derivative(w, p)
+        if (k + 1) * math.log(abs(ext.value) * t) < 690.0:  # no overflow in map_derivative
+            assert ext.multiplier == pytest.approx(map_derivative(ext.value, p), rel=1e-12)
 
 
 def test_critical_temperature():
