@@ -5,13 +5,15 @@ z^{|V|/2} t^{|E|/2} Z, so the z-exponent counts down spins and the
 t-exponent counts unsatisfied edges.  Conditioning on the root spin gives
 the pair recursion A' = (A + tB)^k, B' = z(tA + B)^k with A_0 = 1,
 B_0 = z; the full tree composes one final step with exponent k+1.  The
-brute-force path sums Gibbs weights over all 2^|V| spin configurations,
-streamed in chunks of _CHUNK configurations, so its memory is
-O(_CHUNK |V|) whatever |V| is.  Both are exact: with t = p/q the
-recursion runs on integers, each step one integer power of a polynomial
-packed into a single Python int, and the brute force applies the t-powers
-in rational arithmetic.  A float t is converted exactly, since every
-double is a dyadic rational.
+brute-force path sums Gibbs weights over all 2^|V| spin configurations:
+one vectorized pass sweeps the first _SWEPT vertices, and each
+configuration of the rest (at most 6 under the guard) shifts and adds its
+histograms, so its memory is O(2^_SWEPT + 2^|border| |V|^2), where the
+border is the swept vertices next to the rest.  Both are exact: with
+t = p/q the recursion runs on integers, each step one integer power of a
+polynomial packed into a single Python int, and the brute force applies
+the t-powers in integers over the common denominator q^|E|.  A float t
+is converted exactly, since every double is a dyadic rational.
 
 The circle roots are found without rounding.  Lee-Yang puts every root
 on the unit circle, so for the palindromic integer polynomial P of degree
@@ -37,9 +39,9 @@ from .zeros import TreeSpec
 MAX_BRUTEFORCE_VERTICES = 22
 MAX_RECURSION_VERTICES = 10_000
 MAX_ROOT_DEGREE = 4096
-# configurations per brute-force chunk: the chunk's per-vertex bit planes
-# stay in cache (2^16 measured fastest of 2^12..2^18 at |V| = 22)
-_CHUNK = 1 << 16
+# vertices in the brute force's swept block: its 2^16 configurations' bit
+# planes stay in cache, and at most 6 vertices are left under the guard
+_SWEPT = 16
 
 
 def _exact_t(t) -> Fraction:
@@ -103,11 +105,18 @@ def partition_poly_bruteforce(tree: TreeSpec, t) -> PartitionPolynomial:
     """Sum over all 2^|V| spin configurations (guarded at |V| <= 22).
 
     Every configuration contributes t^{unsatisfied edges} to the
-    coefficient of z^{down spins}.  The double histogram over
-    (down spins, unsatisfied edges) is accumulated in one vectorized pass
-    over chunks of _CHUNK configurations, each read from its own bits, so
-    memory stays O(_CHUNK |V|) whatever |V| is; the t-powers are applied
-    exactly afterwards.
+    coefficient of z^{down spins}, counted in a histogram keyed
+    d (|E|+1) + u, which is additive since u <= |E| never carries.  The
+    vertices, as numbered by tree.edges(), split into a swept block, the
+    first b = min(|V|, _SWEPT), and a fixed block, the rest.  One vectorized
+    pass over the 2^b swept configurations, each read from its own bits,
+    gives one histogram for each spin pattern on the border (the swept ends
+    of crossing edges).  Each fixed-block configuration then adds every
+    pattern's histogram, shifted by its own down spins and by its
+    unsatisfied internal and crossing edges; counting the shifts per
+    pattern makes that one convolution.  Memory is
+    O(2^_SWEPT + 2^|border| |V|^2) whatever |V| is; the t-powers are
+    applied exactly afterwards, in integers.
     """
     if tree.vertex_count > MAX_BRUTEFORCE_VERTICES:
         raise ValueError(
@@ -119,21 +128,43 @@ def partition_poly_bruteforce(tree: TreeSpec, t) -> PartitionPolynomial:
     edges = tree.edges()
     n_e = len(edges)
     n_v = n_e + 1
-    base = np.arange(min(_CHUNK, 1 << n_v), dtype=np.uint32)
-    hist = np.zeros((n_v + 1) * (n_e + 1), dtype=np.int64)
-    for start in range(0, 1 << n_v, base.size):
-        configs = base + np.uint32(start)
-        bits = [(configs >> np.uint32(v)).astype(np.uint8) & 1 for v in range(n_v)]
-        unsat = np.zeros(base.size, dtype=np.uint8)  # |E| <= 21 under the guard
-        for a, b in edges:
-            unsat += bits[a] ^ bits[b]
-        key = np.bitwise_count(configs).astype(np.int64) * (n_e + 1) + unsat
-        hist += np.bincount(key, minlength=hist.size)
+    b = min(n_v, _SWEPT)
+    swept = [(u, v) for u, v in edges if max(u, v) < b]
+    fixed = [(u - b, v - b) for u, v in edges if min(u, v) >= b]
+    crossing = [(min(u, v), max(u, v) - b) for u, v in edges if min(u, v) < b <= max(u, v)]
+    border = sorted({s for s, _ in crossing})
+    crossing = [(border.index(s), x) for s, x in crossing]
+
+    configs = np.arange(1 << b, dtype=np.uint32)
+    bits = [(configs >> np.uint32(v)).astype(np.uint8) & 1 for v in range(b)]
+    unsat = np.zeros(configs.size, dtype=np.uint8)  # |E| <= 21 under the guard
+    for u, v in swept:
+        unsat += bits[u] ^ bits[v]
+    key = np.bitwise_count(configs).astype(np.int64) * (n_e + 1) + unsat
+    width = b * (n_e + 1) + len(swept) + 1  # past the largest swept key
+    for slot, s in enumerate(border):
+        key += bits[s].astype(np.int64) * (width << slot)
+    swept_hist = np.bincount(key, minlength=width << len(border)).reshape(-1, width)
+
+    # each fixed-block configuration shifts each border pattern's histogram;
+    # counting the shifts per pattern turns the sum into one convolution
+    rest = np.arange(1 << (n_v - b), dtype=np.int64)
+    own = np.bitwise_count(rest).astype(np.int64) * (n_e + 1)
+    for u, v in fixed:
+        own += ((rest >> u) ^ (rest >> v)) & 1
+    shift = np.repeat(own[:, None], len(swept_hist), axis=1)
+    patterns = np.arange(len(swept_hist), dtype=np.int64)
+    for slot, x in crossing:
+        shift += ((patterns >> slot) ^ (rest[:, None] >> x)) & 1
+    reach = (n_v - b) * (n_e + 1) + len(fixed) + len(crossing) + 1  # past the largest shift
+    hist = sum(np.convolve(np.bincount(col, minlength=reach), row) for col, row in zip(shift.T, swept_hist))
     hist = hist.reshape(n_v + 1, n_e + 1)
 
-    powers = [t**u for u in range(n_e + 1)]
+    # with t = p/q, coefficient d is sum_u h[d, u] p^u q^(|E| - u) / q^|E|
+    p, q = t.numerator, t.denominator
+    weights = [p**u * q ** (n_e - u) for u in range(n_e + 1)]
     coeffs = tuple(
-        sum((int(h) * powers[u] for u, h in enumerate(row) if h), Fraction(0)) for row in hist
+        Fraction(sum(int(h) * weights[u] for u, h in enumerate(row) if h), q**n_e) for row in hist
     )
     return PartitionPolynomial(tree, t, coeffs)
 
@@ -270,19 +301,21 @@ def _refine(r, c: int, e: int) -> tuple[float, float]:
         # the left end is another (simple) root: take the sign of r' there
         s_lo = _sign([i * x for i, x in enumerate(r)][1:], c, e)
     lo, hi = c, c + 1
-    while True:
-        a_lo, a_hi = _angle(lo, e), _angle(hi, e)
-        if a_lo - a_hi <= 2.0 * math.ulp(a_lo):
-            return 0.5 * (a_lo + a_hi), 0.5 * (a_lo - a_hi)
+    # an end kept at depth e + 1 is the same rational as at depth e, and
+    # int / int rounds correctly, so its angle is computed once
+    a_lo, a_hi = _angle(lo, e), _angle(hi, e)
+    while a_lo - a_hi > 2.0 * math.ulp(a_lo):
         lo, hi, e = 2 * lo, 2 * hi, e + 1
         mid = lo + 1
         s_mid = _sign(r, mid, e)
+        a_mid = _angle(mid, e)
         if s_mid == 0:
-            return _angle(mid, e), 0.0
+            return a_mid, 0.0
         if s_mid == s_lo:
-            lo = mid
+            lo, a_lo = mid, a_mid
         else:
-            hi = mid
+            hi, a_hi = mid, a_mid
+    return 0.5 * (a_lo + a_hi), 0.5 * (a_lo - a_hi)
 
 
 def poly_roots_on_circle(p: PartitionPolynomial):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cayley_ising import partition
 from cayley_ising.core import ResolutionError
 from cayley_ising.partition import (
     PartitionPolynomial,
@@ -97,8 +98,9 @@ def test_t_outside_unit_interval_rejected():
 
 
 def test_bruteforce_memory_is_bounded():
-    # |V| = 22, the guard's largest tree: 2^22 configurations in 64 chunks;
-    # one full-length int64 array of them alone would take 32 MB
+    # |V| = 22, the guard's largest tree: 2^22 configurations, a swept block
+    # of 2^16 under each of 64 fixed-block ones; one full-length int64 array
+    # of them alone would take 32 MB
     tree = TreeSpec("rooted", 1, 21)
     tracemalloc.start()
     try:
@@ -108,6 +110,43 @@ def test_bruteforce_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert bf.coeffs == partition_poly_recursive(tree, Fraction(1, 5)).coeffs
+
+
+def _small_trees():
+    # rooted and full, k = 2-4, |V| <= 15
+    for k in (2, 3, 4):
+        for variant in ("rooted", "full"):
+            level = 0 if variant == "rooted" else 1
+            while (tree := TreeSpec(variant, level, k)).vertex_count <= 15:
+                yield tree
+                level += 1
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_bruteforce_swept_block_widths(monkeypatch, reverse):
+    # narrow swept blocks leave fixed blocks with one or several border
+    # vertices; reversed (child, parent) edges must be classified by both ends
+    if reverse:
+        forward = TreeSpec.edges
+        monkeypatch.setattr(TreeSpec, "edges", lambda self: [(v, u) for u, v in forward(self)])
+    t = Fraction(2, 7)
+    trees = list(_small_trees())
+    assert len(trees) == 13
+    for tree in trees:
+        expected = partition_poly_recursive(tree, t).coeffs
+        for width in sorted({1, 3, 5, tree.vertex_count}):
+            monkeypatch.setattr(partition, "_SWEPT", width)
+            assert partition_poly_bruteforce(tree, t).coeffs == expected, (tree, width)
+
+    # a plain per-configuration sum on the full k = 2 tree, 10 vertices
+    tree = TreeSpec("full", 2, 2)
+    direct = [Fraction(0)] * 11
+    for sigma in range(2**10):
+        unsat = sum((sigma >> a & 1) != (sigma >> b & 1) for a, b in tree.edges())
+        direct[sigma.bit_count()] += t**unsat
+    for width in (1, 3, 5, 10):
+        monkeypatch.setattr(partition, "_SWEPT", width)
+        assert partition_poly_bruteforce(tree, t).coeffs == tuple(direct)
 
 
 def test_size_guards():
