@@ -26,20 +26,16 @@ from . import __version__, core, free_energy, measure, spectra, verify, zeros
 MAX_GRID_POINTS = 1 << 20
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _parse_t(text: str) -> float:
     """Temperature variable as a float; 'p/q' input is rounded once to the nearest double."""
     try:
         value = float(Fraction(text)) if "/" in text else float(text)
     except ZeroDivisionError as exc:
-        raise ConfigError(f"t has a zero denominator: {text}") from exc
+        raise ValueError(f"t has a zero denominator: {text}") from exc
     except OverflowError as exc:
-        raise ConfigError(f"t must lie in [0, 1), got {text}") from exc
+        raise ValueError(f"t must lie in [0, 1), got {text}") from exc
     if not (0 <= value < 1):
-        raise ConfigError(f"t must lie in [0, 1), got {text}")
+        raise ValueError(f"t must lie in [0, 1), got {text}")
     return value
 
 
@@ -48,15 +44,15 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
-        raise ConfigError(f"grid must be start:stop:step, got {text!r}") from exc
+        raise ValueError(f"grid must be start:stop:step, got {text!r}") from exc
     for part, value in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(value):
-            raise ConfigError(f"grid {text!r} has a non-finite {part}: {value}")
+            raise ValueError(f"grid {text!r} has a non-finite {part}: {value}")
     if step <= 0 or stop < start:
-        raise ConfigError(f"bad grid {text!r}")
+        raise ValueError(f"bad grid {text!r}")
     span = (stop - start) / step + 1e-9
     if not span < MAX_GRID_POINTS:
-        raise ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     count = int(math.floor(span)) + 1
     return start + step * np.arange(count)
 
@@ -64,10 +60,10 @@ def _parse_grid(text: str) -> np.ndarray:
 def _check_out(path: str) -> None:
     """Refuse an output path that cannot be written: empty, or in a missing directory."""
     if not path:
-        raise ConfigError("--out must not be empty")
+        raise ValueError("--out must not be empty")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
-        raise ConfigError(f"output directory {parent} does not exist")
+        raise ValueError(f"output directory {parent} does not exist")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,7 +156,7 @@ def _cmd_zeros(args) -> int:
 def _cmd_measure(args) -> int:
     flag, points = ("grid", args.grid) if args.kind == "cdf" else ("bins", args.bins)
     if points > MAX_GRID_POINTS:
-        raise ConfigError(f"--{flag} {points} asks for more than {MAX_GRID_POINTS} points")
+        raise ValueError(f"--{flag} {points} asks for more than {MAX_GRID_POINTS} points")
     t = _parse_t(args.t)
     em = measure.EmpiricalMeasure(zeros.TreeSpec(args.tree, args.n, args.k), t)
     if args.kind == "cdf":
@@ -176,7 +172,7 @@ def _cmd_phi_e(args) -> int:
     tc = core.critical_temperature(args.k)
     outside = grid[(grid < tc) | (grid > 1.0)]
     if outside.size:
-        raise ConfigError(f"phi-e needs t in [t_c, 1] = [{tc}, 1], got {outside[0]}")
+        raise ValueError(f"phi-e needs t in [t_c, 1] = [{tc}, 1], got {outside[0]}")
     core.write_csv(args.out, ("t", "phi_e"), ((t, core.phi_e(float(t), args.k)) for t in grid))
     print(f"wrote {len(grid)} curve points to {args.out}")
     return 0
@@ -217,7 +213,7 @@ def _cmd_free_energy(args) -> int:
         return 0
     if args.mode == "report":
         if not args.radius > 0:
-            raise ConfigError(f"--radius must be positive, got {args.radius}")
+            raise ValueError(f"--radius must be positive, got {args.radius}")
         z = args.radius * complex(math.cos(args.phi), math.sin(args.phi))
         rep = free_energy.free_energy_report(z, t, args.k, args.n)
         core.write_json(args.out, rep.to_dict())
@@ -271,7 +267,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             _check_out(args.out)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

@@ -185,53 +185,40 @@ def _location(w: complex) -> str:
 
 
 def _deflated(t: float, k: int) -> bool:
-    """True when the leading coefficient -t^k of P is nonzero but below eps.
-
-    It is then below the rounding of the other coefficients (the largest has
-    modulus 1 + O(k t^(k-1))), but its exterior root, near z/t^k, unbalances
-    the companion matrix past what the eigensolver and Newton recover: at
-    k = 8, t = 1e-6 every finite root came out near 1e-48, and the exterior
-    root and its multiplier overflowed to NaN.
-    """
-    return 0.0 < t**k < np.finfo(float).eps
+    """True when the leading coefficient -t^k of P is below eps, zero
+    included: _sorted_roots then leaves the exterior root out."""
+    return t**k < np.finfo(float).eps
 
 
 def _sorted_roots(t: float, k: int, zs) -> list[list[complex]]:
     """Roots of P(w) for every field z of a list, sorted by (|w|, arg) per row.
 
     One companion matrix per field, all stacked into one np.linalg.eigvals
-    call, then four Newton steps, polyval taking each row's polynomial at
-    that row's roots: each row is what np.roots and np.polyval give for that
-    field alone.  At t=0 the degree drops from k+1 to k and the constant
-    term vanishes with the leading one, so w = 0 is appended after the
-    companion roots, as np.roots does.
+    call, then four Newton steps against the full polynomial, polyval taking
+    each row's polynomial at that row's roots: each row is what np.roots and
+    np.polyval give for that field alone.
 
-    When t^k is nonzero but below eps (_deflated), the exterior root is left
-    out: each row holds the k roots of the degree-k companion matrix,
-    polished against the full polynomial, and fixed_points adds the exterior
-    root by reflection.
+    When t^k is below eps (_deflated), zero included, the companion matrix is
+    that of the degree-k head of P, so each row holds k roots and the
+    exterior one, near z/t^k, is left out; fixed_points adds it by reflection
+    when t^k > 0, and at t = 0 it lies at infinity.  The leading coefficient
+    is then below the rounding of the others (the largest has modulus
+    1 + O(k t^(k-1))), and its exterior root unbalances the full companion
+    matrix past what the eigensolver and Newton recover: at k = 8, t = 1e-6
+    every finite root came out near 1e-48, and the exterior root and its
+    multiplier overflowed to NaN.
     """
     coeffs = _fixed_point_poly(zs, t, k)
-    # the leading coefficient -t^k and the constant z t^k vanish together,
-    # in every row at once
-    dropped = bool(t**k == 0.0)
-    deflated = _deflated(t, k)
-    trimmed = coeffs[:, : k + 1] if dropped else coeffs
-    # the companion matrix's polynomial, without w = 0 when dropped and
-    # without the exterior root when deflated
-    solved = trimmed[:, 1:] if dropped else coeffs[:, : k + 1] if deflated else coeffs
-    desc = solved[:, ::-1]
+    desc = (coeffs[:, : k + 1] if _deflated(t, k) else coeffs)[:, ::-1]
     n, m = desc.shape[0], desc.shape[1] - 1
     companion = np.zeros((n, m, m), dtype=complex)
     companion[:, 1:, :-1] = np.eye(m - 1)
     companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
     roots = np.linalg.eigvals(companion)
-    if dropped:
-        roots = np.hstack((roots, np.zeros((n, 1), dtype=complex)))
 
-    dcoeffs = trimmed[:, 1:] * np.arange(1, trimmed.shape[1])
+    dcoeffs = coeffs[:, 1:] * np.arange(1, k + 2)
     for _ in range(4):  # Newton polish; companion eigenvalues are close already
-        pv = np.polynomial.polynomial.polyval(roots, trimmed.T[:, :, None], tensor=False)
+        pv = np.polynomial.polynomial.polyval(roots, coeffs.T[:, :, None], tensor=False)
         dv = np.polynomial.polynomial.polyval(roots, dcoeffs.T[:, :, None], tensor=False)
         safe = np.abs(dv) > 1e-30
         roots = np.where(safe, roots - pv / np.where(safe, dv, 1.0), roots)
@@ -247,17 +234,17 @@ def fixed_points(t: float, k: int, phis) -> list[tuple[FixedPoint, ...]]:
     per angle sorted by (|w|, arg), from one batched root solve: row i is
     what the one-angle call fixed_points(t, k, [phis[i]]) gives, bit for bit.
 
-    At t=0 the polynomial degree drops from k+1 to k (the exterior fixed
-    point is at infinity), so each tuple holds k roots instead of k+1.  Where
-    t^k is below eps the exterior root comes from the disk root by reflection
-    (_deflated).
+    At t=0 the exterior fixed point is at infinity, so each tuple holds k
+    roots instead of k+1.  Where t^k is positive but below eps the exterior
+    root comes from the disk root by reflection (_sorted_roots).
     """
     params = [ModelParams(k, t, float(phi)) for phi in phis]
     rows = _sorted_roots(t, k, [p.z for p in params])
+    reflect = 0.0 < t**k and _deflated(t, k)
     out = []
     for p, row in zip(params, rows):
         points = [FixedPoint(w, _location(w), complex(map_derivative(w, p))) for w in row]
-        if _deflated(t, k):
+        if reflect:
             # the map commutes with w -> 1/conj(w), so the exterior root is
             # the disk root's reflection, with the conjugate multiplier;
             # map_derivative would overflow at |w| near 1/t^k
@@ -288,7 +275,6 @@ class TangencyData:
     field angle phi_e at which that happens (the edge of the zero-free arc)."""
 
     point: complex
-    angle: float
     phi_e: float
 
 
@@ -308,7 +294,7 @@ def tangency(t: float, k: int) -> TangencyData:
     w = complex(-a, math.sqrt(max(-disc, 0.0))) / (2.0 * t)
     theta = math.atan2(w.imag, w.real)
     raw = theta - k * moebius_lift(theta, t)[0]
-    return TangencyData(w, theta, abs(math.remainder(raw, TAU)))
+    return TangencyData(w, abs(math.remainder(raw, TAU)))
 
 
 def phi_e(t: float, k: int) -> float:
@@ -327,8 +313,11 @@ def phi_e(t: float, k: int) -> float:
 
 def interior_support(phi: float, t: float, k: int) -> bool:
     """True when e^{i phi} lies in the interior of the zero support (the map
-    is then expanding on the circle and has a fixed point in the disk)."""
+    is then expanding on the circle and has a fixed point in the disk).  A
+    phi that is not finite raises ValueError."""
     _validate_t(t)
+    if not math.isfinite(phi):
+        raise ValueError(f"field angle phi must be finite, got {phi}")
     if t < critical_temperature(k):
         return True
     return abs(math.remainder(phi, TAU)) > phi_e(t, k)

@@ -40,9 +40,9 @@ class EmpiricalMeasure:
         G is odd with G(pi) = pi|V|, so (-pi, 0] holds |V|//2 zeros and the
         lift branches at or below phi add the rest: the winding, plus one
         where psi lands in that rounding band below the seam (the zero set
-        lives on (-pi, pi], so seam hits belong to +pi).  phi <= -pi reads 0 and phi >= pi reads |V| without evaluating the
-        lift at the seam z = -1 (so +-inf read 0 and |V|).  A NaN raises
-        ValueError.
+        lives on (-pi, pi], so seam hits belong to +pi).  phi <= -pi reads 0
+        and phi >= pi reads |V| without evaluating the lift at the seam
+        z = -1 (so +-inf read 0 and |V|).  A NaN raises ValueError.
         """
         phi = np.asarray(phi, dtype=float)
         if np.isnan(phi).any():

@@ -83,8 +83,10 @@ def partition_poly_recursive(tree: TreeSpec, t) -> PartitionPolynomial:
     it at z = 2^w (Kronecker substitution) turns each step into integer
     arithmetic and yields P(2^w) exactly; every coefficient of P lies in
     [0, P(1)], so w = bit length of P(1), rounded up to whole bytes, keeps
-    the coefficients in separate slots.  The constant coefficient is the
-    common denominator, since c_0 = 1 (the all-up configuration).
+    the coefficients in separate slots.  P(1) = 2(p+q)^(|V|-1), since a
+    configuration is a root spin and an agree/disagree bit per edge.  The
+    constant coefficient is the common denominator, since c_0 = 1 (the
+    all-up configuration).
     """
     if tree.vertex_count > MAX_RECURSION_VERTICES:
         raise ValueError(
@@ -94,7 +96,7 @@ def partition_poly_recursive(tree: TreeSpec, t) -> PartitionPolynomial:
         )
     t = _exact_t(t)
     p, q = t.numerator, t.denominator
-    width = (_pair_sum(tree.steps, p, q, 1).bit_length() + 7) // 8
+    width = ((2 * (p + q) ** (tree.vertex_count - 1)).bit_length() + 7) // 8
     packed = _pair_sum(tree.steps, p, q, 1 << (8 * width))
     raw = packed.to_bytes((tree.vertex_count + 1) * width, "little")
     ints = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]

@@ -194,13 +194,11 @@ def birkhoff_exponents(
     total = burn_in + n_steps
     done = 0
     while done < total:
-        # the steps up to the next renormalisation, end of burn-in or end of
-        # block; burn-in steps write their 1+tw into rows that go unread
-        if done < burn_in:
-            row, n = 0, min(r - done % r, burn_in - done)
-        else:
-            row = (done - burn_in) % _LOG_BLOCK
-            n = min(r - done % r, _LOG_BLOCK - row, total - done)
+        # the steps up to the next renormalisation or end of block; rows count
+        # from the end of burn-in, so burn-in ends a chunk and its steps write
+        # their 1+tw into rows that go unread
+        row = (done - burn_in) % _LOG_BLOCK
+        n = min(r - done % r, _LOG_BLOCK - row, total - done)
         for den in den_rows[row : row + n]:
             mul(w, t_full, den)
             add(den, one, den)

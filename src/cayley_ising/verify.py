@@ -424,12 +424,12 @@ def check_free_energy(rng, quick: bool) -> list[CheckResult]:
         ),
         CheckResult(
             "singular_exponent_lebesgue",
-            abs(fit_leb.kappa - 1.0) <= 0.02 and fit_leb.r_squared >= 0.98,
+            abs(fit_leb.kappa - 1.0) <= 0.02 and fit_leb.stable,
             {"kappa": fit_leb.kappa, "r2": fit_leb.r_squared},
         ),
         CheckResult(
             "singular_exponent_phi0",
-            rel0 <= 0.15 and fit0.r_squared >= 0.98,
+            rel0 <= 0.15 and fit0.stable,
             {"kappa": fit0.kappa, "target": DIM_PHI0, "r2": fit0.r_squared},
         ),
     ]

@@ -22,14 +22,10 @@ the root is 1e-5 to 1e-4, so a branch takes about 4 pullbacks.  The zeros
 and |F_m|, the angular residual, rest on the pullback alone.
 
 Counting (measure.EmpiricalMeasure.counts) and the Newton starts run the
-lift forwards through iterated_lift, on the reduced angle psi next to an
-int64 winding: each level takes x = k*psi_t(psi) + phi from
-core.moebius_lift and reduces it by x - 2pi*rint(x/2pi).  The seam rule:
-psi lives on (-pi, pi], so a reduction that lands just past either end is
-moved by one turn, and the start is the reduced angle of phi; otherwise a
-point at the seam is read from the wrong side and its winding is off by
-k^level.  SEAM_ULPS bounds the lift's rounding, the band below pi inside
-which a count reads the lift as on the seam.
+lift forwards through iterated_lift, on the reduced angle psi in (-pi, pi]
+next to an int64 winding, under the seam rule its docstring states.
+SEAM_ULPS bounds the lift's rounding, the band below pi inside which a
+count reads the lift as on the seam.
 """
 
 from __future__ import annotations
@@ -124,12 +120,17 @@ class TreeSpec:
         return out
 
 
-def _wrap_angle(theta):
-    """Reduce into (-pi, pi]; angles already there come back unchanged."""
-    theta = np.asarray(theta, dtype=float)
-    inside = (theta > -math.pi) & (theta <= math.pi)
-    psi = np.remainder(theta + math.pi, TAU) - math.pi
-    return np.where(inside, theta, np.where(psi == -math.pi, math.pi, psi))
+def _reduce(x):
+    """Reduce x in place into (-pi, pi] by iterated_lift's seam rule and
+    return the turns taken off, as floats."""
+    turns = np.rint(x / TAU)
+    x -= TAU * turns
+    up, down = x > math.pi, x <= -math.pi
+    np.subtract(x, TAU, out=x, where=up)
+    np.add(x, TAU, out=x, where=down)
+    turns += up
+    turns -= down
+    return turns
 
 
 def iterated_lift(phi, tree: TreeSpec, t: float):
@@ -141,12 +142,13 @@ def iterated_lift(phi, tree: TreeSpec, t: float):
     precision even when G is of order 2pi*|V|.  The outputs have the shape
     of phi; a non-finite phi raises ValueError.
 
-    Each level takes psi <- k*psi_t(psi) + phi through moebius_lift and
-    reduces it by the nearest multiple of 2pi, which the winding gains, and
-    dG/dphi <- 1 + k*psi_t'(psi)*dG/dphi.  Seam rule: the start is the
-    reduced angle of phi, and a reduction that lands at or below -pi, or
-    above pi, moves by one turn, so every level reads a point on the seam
-    from the side psi says.
+    Each level takes x = k*psi_t(psi) + phi through moebius_lift, and
+    dG/dphi <- 1 + k*psi_t'(psi)*dG/dphi.  Seam rule: the start phi and every
+    level's x are reduced by one step, whose turns the winding gains: x minus
+    2pi*rint(x/2pi), then one more turn where that lands at or below -pi or
+    above pi, as x at an odd multiple of pi can.  So every level reads a
+    point on the seam from the side psi says; read from the other side, its
+    winding would be off by k^level.
 
     The rounding error of G is a few ulp(pi) per unit of dG/dphi against a
     long-double lift, inside SEAM_ULPS: at most 4 on rooted k=2 and 4 and
@@ -163,8 +165,8 @@ def iterated_lift(phi, tree: TreeSpec, t: float):
     if not finite.all():
         raise ValueError(f"the lift needs finite angles, got phi = {phi[~finite].flat[0]}")
     flat = phi.reshape(-1)
-    psi = _wrap_angle(flat)
-    wind = np.rint((flat - psi) / TAU).astype(np.int64)
+    psi = flat.copy()
+    wind = _reduce(psi).astype(np.int64)
     deriv = np.ones_like(psi)
     for k in tree.steps:
         psi, slope = moebius_lift(psi, t)
@@ -173,22 +175,15 @@ def iterated_lift(phi, tree: TreeSpec, t: float):
         deriv += 1.0
         psi *= k
         psi += flat
-        turns = np.rint(psi / TAU)
-        psi -= TAU * turns
-        # x at an odd multiple of pi can land just past either end of (-pi, pi]
-        up, down = psi > math.pi, psi <= -math.pi
-        np.subtract(psi, TAU, out=psi, where=up)
-        np.add(psi, TAU, out=psi, where=down)
-        turns += up
-        turns -= down
         wind *= k
-        wind += turns.astype(np.int64)
+        wind += _reduce(psi).astype(np.int64)
     return psi.reshape(phi.shape), wind.reshape(phi.shape), deriv.reshape(phi.shape)
 
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Sorted zero angles in (-pi, pi] for one (tree, t), with solver residuals."""
+    """Zero angles in (-pi, pi] for one (tree, t), non-decreasing, with solver
+    residuals; two zeros closer than float64 resolves come back equal."""
 
     tree: TreeSpec
     t: float
@@ -344,8 +339,10 @@ def enumerate_zeros(
         depend on it.
 
     Only the |V|//2 zeros in (0, pi) are solved; the rest are their mirror
-    images and, for odd |V|, exactly pi.  A branch float64 cannot solve to
-    tol raises ResolutionError.
+    images and, for odd |V|, exactly pi.  The angles are non-decreasing:
+    two zeros closer than float64 resolves, anywhere on the circle, come
+    back equal.  A branch float64 cannot solve to tol raises
+    ResolutionError.
     """
     _validate_t(t)
     if not 0.0 < tol < math.inf:

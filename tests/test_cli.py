@@ -165,6 +165,19 @@ def test_grid_refuses_non_finite_parts(tmp_path, capsys, args, part):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, reason", [("0.5-0.6", "must be start:stop:step"), ("0.5:0.4:0.1", "bad grid")])
+def test_parse_grid_refuses_a_malformed_grid(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        cli._parse_grid(text)
+
+
+def test_phi_e_refuses_a_grid_below_tc(tmp_path, capsys):
+    out = tmp_path / "pe.csv"
+    assert run(["phi-e", "--k", 2, "--t-grid", "0.1:0.5:0.1", "--out", out]) == 1
+    assert "phi-e needs t in [t_c, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_measure_outputs(tmp_path):
     cdf = tmp_path / "cdf.csv"
     assert run(["measure", "--k", 2, "--n", 6, "--t", "0.5", "--kind", "cdf", "--grid", 101, "--out", cdf]) == 0

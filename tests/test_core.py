@@ -98,9 +98,18 @@ def test_fixed_points_triple_root_at_tc():
 
 
 def test_fixed_points_degenerate_t0():
-    (fps,) = fixed_points(0.0, 3, [0.4])
-    assert len(fps) == 3  # degree k, not k+1: the exterior root is at infinity
-    assert abs(disk_root(fps).value) < 1e-12  # B(w) = z w^k fixes 0
+    # B(w) = z w^k: the roots of z w^k = w are 0 and the k - 1 solutions of
+    # z w^(k-1) = 1; degree k, not k+1, as the exterior root is at infinity
+    phis = [-math.pi + 1e-9, -2.0, -0.3, 0.0, 0.4, 1.7, math.pi]
+    for k in range(2, 9):
+        for phi, row in zip(phis, fixed_points(0.0, k, phis)):
+            assert [p.location for p in row] == ["disk"] + ["circle"] * (k - 1)
+            assert abs(disk_root(row).value) <= 2e-15
+            exact = np.exp(1j * (2.0 * math.pi * np.arange(k - 1) - phi) / (k - 1))
+            dist = np.abs(np.array([p.value for p in row[1:]])[:, None] - exact[None, :])
+            # one computed root next to each exact one
+            assert sorted(dist.argmin(axis=0)) == list(range(k - 1))
+            assert dist.min(axis=0).max() <= 2e-15
 
 
 def test_fixed_point_residual_polynomial():
@@ -224,7 +233,7 @@ def test_non_integral_k_is_refused():
 def test_tangency_values():
     td = tangency(0.5, 2)
     assert td.point == pytest.approx(0.25 + 0.9682458365518543j, abs=1e-12)
-    assert td.angle == pytest.approx(1.318116071652818, abs=1e-12)
+    assert cmath.phase(td.point) == pytest.approx(1.318116071652818, abs=1e-12)
     assert td.phi_e == pytest.approx(0.3073950510845034, abs=1e-12)
     assert tangency(0.9, 2).phi_e == pytest.approx(1.871807547155416, abs=1e-12)
     assert tangency(0.4, 2).phi_e == pytest.approx(0.08369042447459141, abs=1e-12)
@@ -283,6 +292,15 @@ def test_interior_support():
     assert not interior_support(0.0, 0.5, 2)
     assert interior_support(1.0, 0.5, 2)  # phi_e(0.5) ~ 0.307 < 1
     assert not interior_support(0.3, 0.5, 2)
+
+
+@pytest.mark.parametrize("t", [0.2, 0.6])
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_interior_support_refuses_non_finite_phi(phi, t):
+    # NaN used to read as support below t_c and as the gap above it, and inf
+    # above t_c failed with a bare math domain error
+    with pytest.raises(ValueError, match="must be finite"):
+        interior_support(phi, t, 2)
 
 
 def _lift_grid():

@@ -239,6 +239,13 @@ def test_singular_exponent_resolution_guard():
         singular_exponent(0.0, 0.2, 2, n=14, kappa_prior=2.2, delta0=0.5)
 
 
+def test_singular_exponent_refuses_a_vanished_singular_part():
+    # phi = 0 lies inside the zero-free arc at t = 0.9 (phi_e = 1.87), so no
+    # window of the grid holds a zero
+    with pytest.raises(ValueError, match="singular part vanished"):
+        singular_exponent(0.0, 0.9, 2, n=12, delta0=0.5, ys=[0.01, 0.02, 0.04], kappa_prior=1.0)
+
+
 def test_regular_part_is_even_polynomial():
     # h(y) - h_sing(y) = sum_{j<=m} (-1)^j a_j y^{2j} with
     # a_j = int Phi(z) z^{-2j-1} dz: the subtraction removes exactly the

@@ -385,6 +385,17 @@ def test_pointwise_dimension_refuses_the_seam(phi):
     assert not isinstance(exc.value, OutsideSupportError)
 
 
+@pytest.mark.parametrize("t", [0.2, 0.6])
+def test_non_finite_angle_is_refused(t):
+    # a NaN angle used to come back as a point outside the support above t_c,
+    # and the dimension fit called it part of the zero-free arc
+    with pytest.raises(ValueError, match="must be finite"):
+        kappa_curve(t, 2, [math.nan, 1.0])
+    with pytest.raises(ValueError, match="must be finite") as exc:
+        pointwise_dimension(math.nan, t, 2, level=12)
+    assert not isinstance(exc.value, OutsideSupportError)
+
+
 def test_kappa_curve_markers():
     pts = kappa_curve(2.0 / 3.0, 2, np.linspace(-3.0, 3.0, 25))
     gap_edge = 0.83  # phi_e(2/3) is about 0.838

@@ -15,7 +15,6 @@ from cayley_ising.zeros import (
     MAX_ZEROS,
     SEAM_ULPS,
     TreeSpec,
-    _wrap_angle,
     enumerate_zeros,
     iterated_lift,
 )
@@ -150,7 +149,10 @@ def test_enumerate_t0_roots_of_minus_one():
         tree = TreeSpec(variant, n, k)
         zs = enumerate_zeros(tree, 0.0)
         count = tree.vertex_count
-        expected = np.sort(_wrap_angle((2 * np.arange(count) + 1) * math.pi / count))
+        # (2m+1) pi/|V| in (-pi, pi], built exactly: a float test of angle > pi
+        # would move 13 pi/13 at rooted k = 3, level 2
+        odd = 2 * np.arange(count) + 1
+        expected = np.sort(np.where(odd > count, odd - 2 * count, odd) * math.pi / count)
         assert np.allclose(zs.angles, expected, atol=1e-10)
 
 
