@@ -145,20 +145,8 @@ def lift_eval(theta, p: ModelParams):
     return p.k * moebius_lift(theta, p.t)[0] + p.phi
 
 
-def lift_derivative(theta, p: ModelParams):
-    """d(lift)/d(theta) = k*psi_t'(theta) = k(1-t^2)/|1 + t e^{i theta}|^2 > 0."""
-    return p.k * moebius_lift(theta, p.t)[1]
-
-
 # ---------------------------------------------------------------------------
 # fixed points of w -> z((w+t)/(1+wt))^k
-
-
-@dataclass(frozen=True)
-class FixedPoint:
-    value: complex
-    location: str  # "disk" | "circle" | "exterior"
-    multiplier: complex
 
 
 def _fixed_point_poly(z, t: float, k: int) -> np.ndarray:
@@ -177,39 +165,40 @@ def map_derivative(w: complex, p: ModelParams) -> complex:
     return p.z * k * (w + t) ** (k - 1) * (1.0 - t * t) / (1.0 + w * t) ** (k + 1)
 
 
-def _location(w: complex) -> str:
-    r = abs(w)
-    if abs(r - 1.0) < CIRCLE_BAND:
-        return "circle"
-    return "disk" if r < 1.0 else "exterior"
+def fixed_points(t: float, k: int, phis) -> list[list[complex]]:
+    """All fixed points of the map at every field angle of phis, one row per
+    angle sorted by (|w|, arg), from one batched root solve: row i is what
+    the one-angle call fixed_points(t, k, [phis[i]]) gives, bit for bit.
 
+    One companion matrix per angle, all stacked into one np.linalg.eigvals
+    call, then four Newton steps against the full polynomial P, polyval
+    taking each row's polynomial at that row's roots: each row is what
+    np.roots and np.polyval give for that field alone.
 
-def _deflated(t: float, k: int) -> bool:
-    """True when the leading coefficient -t^k of P is below eps, zero
-    included: _sorted_roots then leaves the exterior root out."""
-    return t**k < np.finfo(float).eps
-
-
-def _sorted_roots(t: float, k: int, zs) -> list[list[complex]]:
-    """Roots of P(w) for every field z of a list, sorted by (|w|, arg) per row.
-
-    One companion matrix per field, all stacked into one np.linalg.eigvals
-    call, then four Newton steps against the full polynomial, polyval taking
-    each row's polynomial at that row's roots: each row is what np.roots and
-    np.polyval give for that field alone.
-
-    When t^k is below eps (_deflated), zero included, the companion matrix is
-    that of the degree-k head of P, so each row holds k roots and the
-    exterior one, near z/t^k, is left out; fixed_points adds it by reflection
-    when t^k > 0, and at t = 0 it lies at infinity.  The leading coefficient
-    is then below the rounding of the others (the largest has modulus
-    1 + O(k t^(k-1))), and its exterior root unbalances the full companion
-    matrix past what the eigensolver and Newton recover: at k = 8, t = 1e-6
-    every finite root came out near 1e-48, and the exterior root and its
-    multiplier overflowed to NaN.
+    When t^k is below eps, zero included, the companion matrix is that of
+    the degree-k head of P, so the exterior root, near z/t^k, is left out.
+    The leading coefficient -t^k is then below the rounding of the others
+    (the largest has modulus 1 + O(k t^(k-1))), and its exterior root
+    unbalances the full companion matrix past what the eigensolver and
+    Newton recover: at k = 8, t = 1e-6 every finite root came out near
+    1e-48, and the exterior root overflowed to NaN.  At t = 0 the exterior
+    root lies at infinity, so each row holds k roots instead of k+1; for
+    t > 0 the map commutes with w -> 1/conj(w), so the row ends with the
+    disk root's reflection 1/conj(row[0]).  A t > 0 with t^k below the
+    smallest normal double raises ResolutionError: the disk root, about
+    t^k in modulus, loses digits there, and its reflection overflows.
     """
-    coeffs = _fixed_point_poly(zs, t, k)
-    desc = (coeffs[:, : k + 1] if _deflated(t, k) else coeffs)[:, ::-1]
+    _validate_t(t)
+    _validate_k(k)
+    tk = t**k
+    if 0.0 < t and tk < np.finfo(float).tiny:
+        raise ResolutionError(
+            f"t^k = {tk:g} at t = {t:g}, k = {k} is below the smallest normal "
+            "double; float64 cannot hold the disk fixed point and its reflection"
+        )
+    deflated = tk < np.finfo(float).eps
+    coeffs = _fixed_point_poly([ModelParams(k, t, float(phi)).z for phi in phis], t, k)
+    desc = (coeffs[:, : k + 1] if deflated else coeffs)[:, ::-1]
     n, m = desc.shape[0], desc.shape[1] - 1
     companion = np.zeros((n, m, m), dtype=complex)
     companion[:, 1:, :-1] = np.eye(m - 1)
@@ -226,37 +215,16 @@ def _sorted_roots(t: float, k: int, zs) -> list[list[complex]]:
     rows = roots.tolist()
     for row in rows:
         row.sort(key=lambda r: (abs(r), math.atan2(r.imag, r.real)))
+        if deflated and t > 0.0:
+            row.append(1.0 / row[0].conjugate())
     return rows
 
 
-def fixed_points(t: float, k: int, phis) -> list[tuple[FixedPoint, ...]]:
-    """All fixed points of the map at every field angle of phis, one tuple
-    per angle sorted by (|w|, arg), from one batched root solve: row i is
-    what the one-angle call fixed_points(t, k, [phis[i]]) gives, bit for bit.
-
-    At t=0 the exterior fixed point is at infinity, so each tuple holds k
-    roots instead of k+1.  Where t^k is positive but below eps the exterior
-    root comes from the disk root by reflection (_sorted_roots).
-    """
-    params = [ModelParams(k, t, float(phi)) for phi in phis]
-    rows = _sorted_roots(t, k, [p.z for p in params])
-    reflect = 0.0 < t**k and _deflated(t, k)
-    out = []
-    for p, row in zip(params, rows):
-        points = [FixedPoint(w, _location(w), complex(map_derivative(w, p))) for w in row]
-        if reflect:
-            # the map commutes with w -> 1/conj(w), so the exterior root is
-            # the disk root's reflection, with the conjugate multiplier;
-            # map_derivative would overflow at |w| near 1/t^k
-            disk = points[0]
-            points.append(FixedPoint(1.0 / disk.value.conjugate(), "exterior", disk.multiplier.conjugate()))
-        out.append(tuple(points))
-    return out
-
-
-def disk_root(points: tuple[FixedPoint, ...]) -> FixedPoint | None:
-    """The unique attracting fixed point inside the unit disk, or None."""
-    return next((r for r in points if r.location == "disk"), None)
+def disk_root(row: list[complex]) -> complex | None:
+    """The unique attracting fixed point inside the unit disk, or None: the
+    row's first root, the smallest in modulus, if it lies at least
+    CIRCLE_BAND inside the unit circle."""
+    return row[0] if 1.0 - abs(row[0]) >= CIRCLE_BAND else None
 
 
 def critical_temperature(k: int) -> float:

@@ -74,15 +74,14 @@ def disk_fixed_point(p: ModelParams) -> complex:
     is valid, but float64 cannot separate the disk root from the circle.
     """
     _require_interior(p.phi, p.t, p.k)
-    (points,) = fixed_points(p.t, p.k, [p.phi])
-    root = disk_root(points)
+    root = disk_root(fixed_points(p.t, p.k, [p.phi])[0])
     if root is None:
         raise ResolutionError(
             f"no disk fixed point found more than CIRCLE_BAND = {CIRCLE_BAND:g} inside "
             f"the unit circle at (phi={p.phi}, t={p.t}); the angle is too close to "
             "the gap-edge curve for float64 to resolve"
         )
-    return root.value
+    return root
 
 
 def lyapunov_acim_closed(p: ModelParams) -> float:
@@ -435,8 +434,8 @@ def kappa_curve(t: float, k: int, phis) -> list[KappaPoint]:
         if root is None:
             out.append(KappaPoint(phi, None, math.nan, math.nan, inside))
             continue
-        chi = _chi_acim(root.value, t, k)
-        out.append(KappaPoint(phi, root.value, chi, math.log(k) / chi, True))
+        chi = _chi_acim(root, t, k)
+        out.append(KappaPoint(phi, root, chi, math.log(k) / chi, True))
     return out
 
 

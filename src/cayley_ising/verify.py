@@ -264,8 +264,10 @@ def check_lift_structure(rng, quick: bool) -> list[CheckResult]:
     lifts = [(th, core.ModelParams(int(k), float(t), float(ph))) for th, ph, t, k in zip(thetas, phis, ts, ks)]
     worst_period = lift_period_gap(lifts)
     h = 1e-5
+    # against k*psi_t', the slope that the lift, the pullback and the MME use
     worst_fd = max(
-        abs(float((core.lift_eval(th + h, p) - core.lift_eval(th - h, p)) / (2.0 * h) - core.lift_derivative(th, p)))
+        abs(float((core.lift_eval(th + h, p) - core.lift_eval(th - h, p)) / (2.0 * h)
+                  - p.k * core.moebius_lift(th, p.t)[1]))
         for th, p in lifts
     )
 
@@ -293,13 +295,13 @@ def check_fixed_points(rng, quick: bool) -> list[CheckResult]:
         phi = float(rng.uniform(-math.pi, math.pi))
         if not core.interior_support(phi, t, k):
             continue
-        (points,) = core.fixed_points(t, k, [phi])
-        off = [r for r in points if r.location != "circle"]
-        for r in off:
-            mirror = min(abs(r.value - 1.0 / np.conj(o.value)) for o in off)
+        (row,) = core.fixed_points(t, k, [phi])
+        off = [w for w in row if not abs(abs(w) - 1.0) < core.CIRCLE_BAND]
+        for w in off:
+            mirror = min(abs(w - 1.0 / np.conj(o)) for o in off)
             worst_pair = max(worst_pair, float(mirror))
-        disk = core.disk_root(points)
-        if disk is not None and abs(disk.multiplier) >= 1.0:
+        disk = core.disk_root(row)
+        if disk is not None and abs(core.map_derivative(disk, core.ModelParams(k, t, phi))) >= 1.0:
             multiplier_ok = False
     return [
         CheckResult("fixed_point_reflection", worst_pair <= 1e-7, {"worst": worst_pair, "bound": 1e-7}),

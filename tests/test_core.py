@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cayley_ising.core import (
+    CIRCLE_BAND,
     ModelParams,
     NoGapError,
     ResolutionError,
@@ -13,7 +14,6 @@ from cayley_ising.core import (
     disk_root,
     fixed_points,
     interior_support,
-    lift_derivative,
     lift_eval,
     map_derivative,
     moebius_lift,
@@ -67,34 +67,39 @@ def test_lift_periodicity_randomized():
 
 
 def test_lift_derivative_values_and_fd():
-    # t=0 reduces to the constant k
-    assert lift_derivative(0.77, ModelParams(3, 0.0, 0.0)) == pytest.approx(3.0, abs=1e-15)
+    # the lift's slope is k*psi_t'(theta); t=0 reduces it to the constant k
+    assert 3 * moebius_lift(0.77, 0.0)[1] == pytest.approx(3.0, abs=1e-15)
     # endpoints of the derivative range
-    assert lift_derivative(0.0, ModelParams(2, 0.2, 0.0)) == pytest.approx(4.0 / 3.0, abs=1e-14)
-    assert lift_derivative(math.pi, ModelParams(2, 0.5, 0.0)) == pytest.approx(6.0, abs=1e-12)
+    assert 2 * moebius_lift(0.0, 0.2)[1] == pytest.approx(4.0 / 3.0, abs=1e-14)
+    assert 2 * moebius_lift(math.pi, 0.5)[1] == pytest.approx(6.0, abs=1e-12)
     rng = np.random.default_rng(5)
     p = ModelParams(2, 0.8, -1.0)
     for th in rng.uniform(-4, 4, 50):
         fd = (lift_eval(th + 1e-5, p) - lift_eval(th - 1e-5, p)) / 2e-5
-        assert abs(fd - lift_derivative(th, p)) <= 1e-6
+        assert abs(fd - p.k * moebius_lift(th, p.t)[1]) <= 1e-6
+
+
+def _on_circle(w: complex) -> bool:
+    return abs(abs(w) - 1.0) < CIRCLE_BAND
 
 
 def test_fixed_points_known_case():
-    (fps,) = fixed_points(0.2, 2, [0.0])
-    values = sorted(r.value.real for r in fps)
+    (row,) = fixed_points(0.2, 2, [0.0])
+    values = sorted(w.real for w in row)
     assert values[0] == pytest.approx(7.0 - 4.0 * math.sqrt(3.0), abs=1e-12)
     assert values[1] == pytest.approx(1.0, abs=1e-12)
     assert values[2] == pytest.approx(7.0 + 4.0 * math.sqrt(3.0), abs=1e-10)
-    disk = disk_root(fps)
-    assert disk is not None and abs(disk.multiplier) == pytest.approx(0.5, abs=1e-12)
-    circle = next(r for r in fps if r.location == "circle")
-    assert circle.multiplier.real == pytest.approx(4.0 / 3.0, abs=1e-12)
+    p = ModelParams(2, 0.2, 0.0)
+    disk = disk_root(row)
+    assert disk is not None and abs(map_derivative(disk, p)) == pytest.approx(0.5, abs=1e-12)
+    circle = next(w for w in row if _on_circle(w))
+    assert map_derivative(circle, p).real == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
 def test_fixed_points_triple_root_at_tc():
-    (fps,) = fixed_points(1.0 / 3.0, 2, [0.0])
-    for r in fps:
-        assert abs(r.value - 1.0) < 2e-5  # cube-root-of-eps smearing of the triple root
+    (row,) = fixed_points(1.0 / 3.0, 2, [0.0])
+    for w in row:
+        assert abs(w - 1.0) < 2e-5  # cube-root-of-eps smearing of the triple root
 
 
 def test_fixed_points_degenerate_t0():
@@ -103,10 +108,11 @@ def test_fixed_points_degenerate_t0():
     phis = [-math.pi + 1e-9, -2.0, -0.3, 0.0, 0.4, 1.7, math.pi]
     for k in range(2, 9):
         for phi, row in zip(phis, fixed_points(0.0, k, phis)):
-            assert [p.location for p in row] == ["disk"] + ["circle"] * (k - 1)
-            assert abs(disk_root(row).value) <= 2e-15
+            assert len(row) == k and disk_root(row) == row[0]
+            assert all(_on_circle(w) for w in row[1:])
+            assert abs(row[0]) <= 2e-15
             exact = np.exp(1j * (2.0 * math.pi * np.arange(k - 1) - phi) / (k - 1))
-            dist = np.abs(np.array([p.value for p in row[1:]])[:, None] - exact[None, :])
+            dist = np.abs(np.array(row[1:])[:, None] - exact[None, :])
             # one computed root next to each exact one
             assert sorted(dist.argmin(axis=0)) == list(range(k - 1))
             assert dist.min(axis=0).max() <= 2e-15
@@ -119,17 +125,16 @@ def test_fixed_point_residual_polynomial():
         t = float(rng.uniform(0.01, 0.95))
         ph = float(rng.uniform(-math.pi, math.pi))
         p = ModelParams(k, t, ph)
-        (fps,) = fixed_points(t, k, [ph])
-        for r in fps:
-            w = r.value
+        (row,) = fixed_points(t, k, [ph])
+        for w in row:
             res = abs(p.z * (w + t) ** k - w * (1.0 + w * t) ** k)
             assert res <= 1e-9 * (1.0 + abs(w)) ** (k + 1)
 
 
 def test_conjugation_symmetry():
     plus, minus = fixed_points(0.4, 2, [1.1, -1.1])
-    got = sorted(np.conj([r.value for r in minus]), key=lambda z: (z.real, z.imag))
-    want = sorted([r.value for r in plus], key=lambda z: (z.real, z.imag))
+    got = sorted(np.conj(minus), key=lambda z: (z.real, z.imag))
+    want = sorted(plus, key=lambda z: (z.real, z.imag))
     assert np.allclose(got, want, atol=1e-9)
 
 
@@ -143,9 +148,10 @@ def test_fixed_points_batch_rows_equal_single_angles(k, t):
         (single,) = fixed_points(t, k, [phi])
         # at t = 0 the exterior root is at infinity: k roots, not k+1
         assert len(row) == len(single) == (k if t == 0.0 else k + 1)
+        assert disk_root(row) == disk_root(single)
+        p = ModelParams(k, t, phi)
         for a, b in zip(row, single):
-            assert a.location == b.location
-            assert np.array([a.value, a.multiplier]).tobytes() == np.array([b.value, b.multiplier]).tobytes()
+            assert np.array([a, map_derivative(a, p)]).tobytes() == np.array([b, map_derivative(b, p)]).tobytes()
 
 
 def _full_solve_row(t, k, phi):
@@ -171,7 +177,7 @@ def test_fixed_points_keep_the_full_solve_above_eps(t, k):
     assert t**k >= np.finfo(float).eps
     phis = [-2.0, 0.5, 1.0, math.pi]
     for phi, row in zip(phis, fixed_points(t, k, phis)):
-        assert np.array([p.value for p in row]).tobytes() == np.array(_full_solve_row(t, k, phi)).tobytes()
+        assert np.array(row).tobytes() == np.array(_full_solve_row(t, k, phi)).tobytes()
 
 
 @pytest.mark.parametrize("t, k", [
@@ -187,20 +193,66 @@ def test_fixed_points_when_t_power_k_is_below_eps(t, k):
         warnings.simplefilter("error")
         rows = fixed_points(t, k, phis)
     for phi, row in zip(phis, rows):
-        assert [p.location for p in row] == ["disk"] + ["circle"] * (k - 1) + ["exterior"]
-        z = cmath.exp(1j * phi)
+        assert len(row) == k + 1
         disk, ext = row[0], row[-1]
+        assert disk_root(row) == disk
+        assert all(_on_circle(w) for w in row[1:-1]) and abs(ext) - 1.0 >= CIRCLE_BAND
+        z = cmath.exp(1j * phi)
         # w = t^k u with u = z / (1 - z k t^(k-1)) up to O(k^2 t^(2k-2) + k t^(k+1))
-        assert abs(disk.value - z * t**k / (1.0 - z * k * t ** (k - 1))) <= 1e-10 * t**k
-        assert ext.value == 1.0 / disk.value.conjugate()
-        assert abs(disk.multiplier) < 1.0 and abs(ext.multiplier) == abs(disk.multiplier)
+        assert abs(disk - z * t**k / (1.0 - z * k * t ** (k - 1))) <= 1e-10 * t**k
+        assert ext == 1.0 / disk.conjugate()
         p = ModelParams(k, t, phi)
-        for r in row[1:-1]:
-            w = r.value
+        multiplier = map_derivative(disk, p)
+        assert abs(multiplier) < 1.0
+        for w in row[1:-1]:
             assert abs(p.z * (w + t) ** k - w * (1.0 + w * t) ** k) <= 1e-13
-            assert r.multiplier == map_derivative(w, p)
-        if (k + 1) * math.log(abs(ext.value) * t) < 690.0:  # no overflow in map_derivative
-            assert ext.multiplier == pytest.approx(map_derivative(ext.value, p), rel=1e-12)
+        # the reflection has the conjugate multiplier
+        if (k + 1) * math.log(abs(ext) * t) < 690.0:  # no overflow in map_derivative
+            assert map_derivative(ext, p) == pytest.approx(multiplier.conjugate(), rel=1e-12)
+
+
+@pytest.mark.parametrize("t, k", [(1e-40, 8), (1e-155, 2), (1e-200, 2)])
+def test_fixed_points_refuse_subnormal_t_power_k(t, k):
+    # these came back with an inf+infj exterior root and a disk root good to
+    # about 4 digits, or, once t^k underflows to 0, without the exterior root
+    assert t**k < np.finfo(float).tiny
+    with pytest.raises(ResolutionError, match="smallest normal"):
+        fixed_points(t, k, [0.5])
+
+
+def test_fixed_points_keep_the_smallest_normal_t_power_k():
+    t, k = 1.5e-154, 2  # t^k = 2.25e-308, just above the smallest normal double
+    for row in fixed_points(t, k, [0.5, -2.0, math.pi]):
+        assert len(row) == 3
+        assert row[-1] == 1.0 / row[0].conjugate() and cmath.isfinite(row[-1])
+
+
+@pytest.mark.parametrize("t, k", [(5.0, 2), (-0.1, 2), (0.5, 1), (0.5, 2.0)])
+def test_fixed_points_validate_t_and_k_without_angles(t, k):
+    with pytest.raises(ValueError):
+        fixed_points(t, k, [])
+
+
+def test_disk_root_at_the_circle_band():
+    # the first root is the disk root when it lies CIRCLE_BAND or more inside
+    # the circle, the rule "not within CIRCLE_BAND of |w| = 1, and |w| < 1"
+    # read off the row's smallest root; checked on the doubles next to the edge
+    edge = 1.0 - CIRCLE_BAND
+    radii = [edge]
+    for direction in (0.0, 2.0):
+        r = edge
+        for _ in range(2000):
+            r = math.nextafter(r, direction)
+            radii.append(r)
+    picked = 0
+    for r in radii:
+        for w in (r, -r, 1j * r):
+            inside = not abs(abs(w) - 1.0) < CIRCLE_BAND and abs(w) < 1.0
+            assert disk_root([w, 1.0, 3.0]) == (w if inside else None)
+            picked += inside
+    assert 0 < picked < 3 * len(radii)
+    assert disk_root([1.0 + 0j, -1.0 + 0j]) is None
+    assert disk_root([0j, 1.0 + 0j]) == 0j
 
 
 def test_critical_temperature():
@@ -363,7 +415,7 @@ def test_lift_derivative_at_pi_near_t1(k, t):
     # slope c(1 + tau^2)/(1 + c^2 tau^2) does not.  The reference is
     # k(1+t)/(1-t) at the double nearest pi, 1.2e-16 below pi, which at
     # t = 1 - 1e-12 lowers it by 1.5e-8 relative
-    slope = lift_derivative(math.pi, ModelParams(k, t))
+    slope = k * moebius_lift(math.pi, t)[1]
     reference = k * (1.0 - t) * (1.0 + t) / ((1.0 - t) ** 2 + 4.0 * t * math.cos(0.5 * math.pi) ** 2)
     assert slope == pytest.approx(reference, rel=1e-9)
     if t <= 1.0 - 1e-10:

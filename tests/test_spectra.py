@@ -12,8 +12,8 @@ from cayley_ising.core import (
     ResolutionError,
     critical_temperature,
     interior_support,
-    lift_derivative,
     lift_eval,
+    moebius_lift,
     phi_e,
 )
 from cayley_ising.measure import EmpiricalMeasure
@@ -286,7 +286,7 @@ def test_preimages_property(k, t, phi, extra):
     # the lift's slope: near theta = pi that slope is k(1+t)/(1-t), so even a
     # correctly rounded preimage misses by half an ulp times it
     tol = 64.0 * np.spacing(k * math.pi + abs(phi) + math.pi)
-    tol = tol + lift_derivative(pre, p) * np.spacing(np.abs(pre))
+    tol = tol + k * moebius_lift(pre, t)[1] * np.spacing(np.abs(pre))
     assert np.all(off <= tol)
     branches = np.sort(pre.reshape(k, targets.size), axis=0)
     assert np.all(np.diff(branches, axis=0) > 0.0)
@@ -496,6 +496,14 @@ def test_kappa_curve_edge_angle_keeps_the_curve():
     edge = got[2]
     assert edge.phi == edge_phi and edge.in_support and edge.w_disk is None
     assert math.isnan(edge.chi) and math.isnan(edge.kappa)
+
+
+def test_chi_and_kappa_curve_refuse_subnormal_t_power_k():
+    # core.fixed_points refuses t > 0 with t^k below the smallest normal double
+    with pytest.raises(ResolutionError, match="smallest normal"):
+        lyapunov_acim_closed(ModelParams(2, 1e-155, 0.5))
+    with pytest.raises(ResolutionError, match="smallest normal"):
+        kappa_curve(1e-200, 2, [0.5, -2.0])
 
 
 def test_spectral_report_fields():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cayley_ising.zeros as zeros_module
 from cayley_ising import verify
-from cayley_ising.core import TAU, ModelParams, ResolutionError, lift_derivative, lift_eval, phi_e
+from cayley_ising.core import TAU, ModelParams, ResolutionError, lift_eval, moebius_lift, phi_e
 from cayley_ising.measure import EmpiricalMeasure
 from cayley_ising.zeros import (
     MAX_LEVEL,
@@ -489,7 +489,7 @@ def long_double_lift(phi, tree: TreeSpec, t: float):
     psi, wind, deriv = phi, np.zeros_like(phi), np.ones_like(phi)
     for k in tree.steps:
         p = ModelParams(k, t)
-        deriv = 1 + lift_derivative(psi, p) * deriv
+        deriv = 1 + k * moebius_lift(psi, t)[1] * deriv
         raw = lift_eval(psi, p) + phi
         turns = np.rint(raw / (2 * _PI_LD))
         psi, wind = raw - 2 * _PI_LD * turns, k * wind + turns
