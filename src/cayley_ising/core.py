@@ -65,11 +65,12 @@ def _validate_t(t: float) -> None:
         raise ValueError(f"temperature variable t must lie in [0, 1), got {t}")
 
 
-def _validate_k(k) -> None:
-    """A branching number is an integer >= 2; an integral float such as 2.0
-    is refused too, since the tree sizes and lift powers need a true int."""
-    if not isinstance(k, numbers.Integral) or k < 2:
-        raise ValueError(f"branching number k must be an integer >= 2, got {k!r}")
+def _validate_count(name: str, value, least: int) -> None:
+    """A count is an integer >= least; an integral float such as 2.0 is
+    refused too, since tree sizes, powers, ranges and array shapes need a
+    true int.  numpy integers pass."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class ModelParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        _validate_k(self.k)
+        _validate_count("branching number k", self.k, 2)
         _validate_t(self.t)
         if not (-math.pi < self.phi <= math.pi):
             raise ValueError(f"field angle phi must lie in (-pi, pi], got {self.phi}")
@@ -189,7 +190,7 @@ def fixed_points(t: float, k: int, phis) -> list[list[complex]]:
     t^k in modulus, loses digits there, and its reflection overflows.
     """
     _validate_t(t)
-    _validate_k(k)
+    _validate_count("branching number k", k, 2)
     tk = t**k
     if 0.0 < t and tk < np.finfo(float).tiny:
         raise ResolutionError(
@@ -229,7 +230,7 @@ def disk_root(row: list[complex]) -> complex | None:
 
 def critical_temperature(k: int) -> float:
     """t_c = (k-1)/(k+1)."""
-    _validate_k(k)
+    _validate_count("branching number k", k, 2)
     return (k - 1) / (k + 1)
 
 
@@ -237,17 +238,9 @@ def critical_temperature(k: int) -> float:
 # tangency locus and the gap-edge curve
 
 
-@dataclass(frozen=True)
-class TangencyData:
-    """Circle point where the map becomes tangent to the diagonal, and the
-    field angle phi_e at which that happens (the edge of the zero-free arc)."""
-
-    point: complex
-    phi_e: float
-
-
-def tangency(t: float, k: int) -> TangencyData:
-    """Solve the multiple-fixed-point condition for t in (t_c, 1).
+def tangency(t: float, k: int) -> complex:
+    """The circle point w, Im w >= 0, where the map becomes tangent to the
+    diagonal, for t in (t_c, 1).
 
     The condition k*w*(1-t^2)/((w+t)(1+wt)) = 1 reduces to the quadratic
     t w^2 + ((k+1)t^2 - (k-1)) w + t = 0, whose discriminant is negative
@@ -259,14 +252,14 @@ def tangency(t: float, k: int) -> TangencyData:
         raise ValueError(f"tangency requires t in (t_c, 1) = ({tc}, 1), got {t}")
     a = (k + 1) * t * t - (k - 1)
     disc = a * a - 4.0 * t * t
-    w = complex(-a, math.sqrt(max(-disc, 0.0))) / (2.0 * t)
-    theta = math.atan2(w.imag, w.real)
-    raw = theta - k * moebius_lift(theta, t)[0]
-    return TangencyData(w, abs(math.remainder(raw, TAU)))
+    return complex(-a, math.sqrt(max(-disc, 0.0))) / (2.0 * t)
 
 
 def phi_e(t: float, k: int) -> float:
-    """Half-width of the zero-free arc around phi=0; 0 at t_c, pi at t=1."""
+    """Half-width of the zero-free arc around phi=0; 0 at t_c, pi at t=1.
+
+    Inside (t_c, 1) it is the field angle that puts a fixed point at the
+    tangency point w = e^{i theta}: |theta - k psi_t(theta)| mod 2 pi."""
     tc = critical_temperature(k)
     if t < tc:
         raise NoGapError(f"t={t} < t_c={tc}: the support is the full circle, no gap exists")
@@ -276,7 +269,9 @@ def phi_e(t: float, k: int) -> float:
         return 0.0
     if t == 1.0:
         return math.pi
-    return tangency(t, k).phi_e
+    w = tangency(t, k)
+    theta = math.atan2(w.imag, w.real)
+    return abs(math.remainder(theta - k * moebius_lift(theta, t)[0], TAU))
 
 
 def interior_support(phi: float, t: float, k: int) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import zeros
-from .core import write_csv
+from .core import _validate_count, write_csv
 from .zeros import TreeSpec, enumerate_zeros
 
 
@@ -92,8 +92,7 @@ def max_gap(em: EmpiricalMeasure) -> float:
 
 def histogram(em: EmpiricalMeasure, bins: int = 360):
     """(bin center, mass) pairs over (-pi, pi], exact counts per bin."""
-    if bins < 1:
-        raise ValueError(f"histogram needs at least one bin, got {bins}")
+    _validate_count("bins", bins, 1)
     edges = np.linspace(-math.pi, math.pi, bins + 1)
     counts = em.counts(edges)
     masses = np.diff(counts) / em.total
@@ -102,8 +101,7 @@ def histogram(em: EmpiricalMeasure, bins: int = 360):
 
 
 def write_cdf_csv(path, em: EmpiricalMeasure, grid: int = 2048) -> None:
-    if grid < 1:
-        raise ValueError(f"CDF grid needs at least one point, got {grid}")
+    _validate_count("grid", grid, 1)
     phis = np.linspace(-math.pi, math.pi, grid)
     write_csv(path, ("phi", "cdf"), zip(phis, empirical_cdf(phis, em)))
 

@@ -30,6 +30,7 @@ from .core import (
     TAU,
     ModelParams,
     ResolutionError,
+    _validate_count,
     critical_temperature,
     disk_root,
     fixed_points,
@@ -65,25 +66,6 @@ def _require_interior(phi: float, t: float, k: int) -> None:
         )
 
 
-def disk_fixed_point(p: ModelParams) -> complex:
-    """The attracting fixed point in the open unit disk.
-
-    Parameters outside the zero support raise OutsideSupportError.  An angle
-    inside the support but so close to the gap edge that no fixed point lies
-    more than CIRCLE_BAND inside the circle raises ResolutionError: the input
-    is valid, but float64 cannot separate the disk root from the circle.
-    """
-    _require_interior(p.phi, p.t, p.k)
-    root = disk_root(fixed_points(p.t, p.k, [p.phi])[0])
-    if root is None:
-        raise ResolutionError(
-            f"no disk fixed point found more than CIRCLE_BAND = {CIRCLE_BAND:g} inside "
-            f"the unit circle at (phi={p.phi}, t={p.t}); the angle is too close to "
-            "the gap-edge curve for float64 to resolve"
-        )
-    return root
-
-
 def lyapunov_acim_closed(p: ModelParams) -> float:
     """ACIM Lyapunov exponent log(k(1-t^2)/|1+w_D t|^2).
 
@@ -92,13 +74,21 @@ def lyapunov_acim_closed(p: ModelParams) -> float:
     log|B'| with the single disk critical point at -t of multiplicity k-1:
     chi = log|B'(w_D)| + (k-1) log|(1+t w_D)/(w_D+t)|, which telescopes to
     the stated expression.  Normalized so chi = log k at t = 0.
+
+    Parameters outside the zero support raise OutsideSupportError.  An angle
+    inside the support but so close to the gap edge that no fixed point lies
+    more than CIRCLE_BAND inside the circle raises ResolutionError: the input
+    is valid, but float64 cannot separate the disk root from the circle.
     """
-    return _chi_acim(disk_fixed_point(p), p.t, p.k)
-
-
-def _chi_acim(w: complex, t: float, k: int) -> float:
-    """log(k(1-t^2)/|1+w t|^2) at the disk fixed point w."""
-    return math.log(k * (1.0 - t * t) / abs(1.0 + w * t) ** 2)
+    _require_interior(p.phi, p.t, p.k)
+    (point,) = kappa_curve(p.t, p.k, [p.phi])
+    if point.w_disk is None:
+        raise ResolutionError(
+            f"no disk fixed point found more than CIRCLE_BAND = {CIRCLE_BAND:g} inside "
+            f"the unit circle at (phi={p.phi}, t={p.t}); the angle is too close to "
+            "the gap-edge curve for float64 to resolve"
+        )
+    return point.chi
 
 
 def _renorm_stride(k: int, t_max: float) -> int:
@@ -147,15 +137,13 @@ def birkhoff_exponents(
     standard error taken across seeds.
 
     Bad input raises ValueError before any stepping: a step count, burn-in
-    or seed count out of range, phis with more than one dimension, ts that
-    does not broadcast to phis, no parameters at all, or an angle that is
-    not finite.
+    or seed count that is not an integer in range (a stderr needs two
+    seeds), phis with more than one dimension, ts that does not broadcast to
+    phis, no parameters at all, or an angle that is not finite.
     """
-    if n_steps < 1 or burn_in < 0 or n_seeds < 2:
-        raise ValueError(
-            f"need n_steps >= 1, burn_in >= 0 and n_seeds >= 2 (a stderr needs two "
-            f"seeds), got {n_steps}, {burn_in} and {n_seeds}"
-        )
+    _validate_count("n_steps", n_steps, 1)
+    _validate_count("burn_in", burn_in, 0)
+    _validate_count("n_seeds", n_seeds, 2)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     ts = np.asarray(ts, dtype=float)
     if phis.ndim > 1:
@@ -168,8 +156,6 @@ def birkhoff_exponents(
         ) from None
     if phis.size == 0:
         raise ValueError("no parameters: phis is empty")
-    if not np.all(np.isfinite(phis)):
-        raise ValueError(f"field angles must be finite, got {phis[~np.isfinite(phis)][0]}")
     for ph, tv in zip(phis, ts):
         _require_interior(ph, tv, k)
     rng = np.random.default_rng(seed)
@@ -253,14 +239,13 @@ def lyapunov_mme(p: ModelParams, depth: int = 16) -> MmeEstimate:
     dishonestly small, while the level-mean dispersion tracks the actual
     shallow-level transient.
     """
-    if depth < 2:
-        # one level mean has no spread, so the stderr would be undefined
-        raise ValueError(f"depth must be >= 2, got {depth}")
+    # one level mean has no spread, so the stderr would be undefined
+    _validate_count("depth", depth, 2)
     _require_interior(p.phi, p.t, p.k)
-    if p.k**depth > MAX_PULLBACK_LEAVES:
-        raise ValueError(
-            f"k^depth = {p.k**depth} preimages exceeds the memory guard {MAX_PULLBACK_LEAVES}"
-        )
+    # in Python ints: a numpy k or depth would wrap k^depth past the guard
+    leaves = int(p.k) ** int(depth)
+    if leaves > MAX_PULLBACK_LEAVES:
+        raise ValueError(f"k^depth = {leaves} preimages exceeds the memory guard {MAX_PULLBACK_LEAVES}")
     level = np.array([math.pi])
     level_means = []
     for _ in range(depth):
@@ -314,13 +299,12 @@ def pointwise_dimension(
     before the seam and the zero-free arc (default min(pi/8, room/2)); scales
     holding fewer than MIN_ATOMS zeros are dropped from `scales`.  An
     explicit coarsest must be finite, positive and within the room, octaves
-    at least 2 (three scales), and |phi| < pi, else ValueError; phi outside
-    the zero support raises OutsideSupportError.
+    an integer at least 2 (three scales), and |phi| < pi, else ValueError;
+    phi outside the zero support raises OutsideSupportError.
     """
     if coarsest is not None and not (math.isfinite(coarsest) and coarsest > 0):
         raise ValueError(f"coarsest scale must be finite and positive, got {coarsest}")
-    if octaves < 2:
-        raise ValueError(f"fewer than three usable scales: octaves = {octaves}, need at least 2")
+    _validate_count("octaves", octaves, 2)
     if abs(phi) >= math.pi:
         raise ValueError(
             f"phi={phi} is on or past the seam at +-pi: the window [phi - d, phi + d] "
@@ -414,16 +398,17 @@ class KappaPoint:
 
 
 def kappa_curve(t: float, k: int, phis) -> list[KappaPoint]:
-    """Per-angle disk fixed point, closed-form chi, and kappa = log k / chi.
+    """Per-angle disk fixed point w_D, closed-form chi (see
+    lyapunov_acim_closed), and kappa = log k / chi.
 
     The disk fixed points of all in-support angles come from one batched
-    root solve (core.fixed_points), bit for bit what disk_fixed_point gives
-    angle by angle.  Angles inside the zero-free arc are emitted with
-    a no-support marker instead of being dropped, so grids stay aligned for
-    plotting.  An in-support angle so close to the gap edge that the solve
-    finds no disk root is emitted with w_disk=None and NaN chi and kappa,
-    its in_support still True, instead of aborting the curve;
-    disk_fixed_point raises ResolutionError there.
+    root solve (core.fixed_points), bit for bit what a one-angle solve
+    gives.  Angles inside the zero-free arc are emitted with a no-support
+    marker instead of being dropped, so grids stay aligned for plotting.
+    An in-support angle so close to the gap edge that the solve finds no
+    disk root is emitted with w_disk=None and NaN chi and kappa, its
+    in_support still True, instead of aborting the curve;
+    lyapunov_acim_closed raises ResolutionError there.
     """
     phis = [float(phi) for phi in np.atleast_1d(np.asarray(phis, dtype=float))]
     support = [interior_support(phi, t, k) for phi in phis]
@@ -434,7 +419,7 @@ def kappa_curve(t: float, k: int, phis) -> list[KappaPoint]:
         if root is None:
             out.append(KappaPoint(phi, None, math.nan, math.nan, inside))
             continue
-        chi = _chi_acim(root, t, k)
+        chi = math.log(k * (1.0 - t * t) / abs(1.0 + root * t) ** 2)
         out.append(KappaPoint(phi, root, chi, math.log(k) / chi, True))
     return out
 

@@ -133,8 +133,7 @@ def density_gaps(levels):
 def rooted_full_distance(n, ts, grid):
     """Criterion 6: sup-norm distance between the k = 2 rooted and full
     level-n CDFs on a uniform grid of `grid` angles, worst over ts."""
-    if grid < 1:
-        raise ValueError(f"CDF grid needs at least one point, got {grid}")
+    core._validate_count("grid", grid, 1)
     phis = np.linspace(-math.pi, math.pi, grid)
     worst = 0.0
     for t in ts:
@@ -316,11 +315,10 @@ def check_tangency(quick: bool) -> list[CheckResult]:
     worst_res = 0.0
     values = []
     for t in ts:
-        td = core.tangency(float(t), k)
-        w = td.point
+        w = core.tangency(float(t), k)
         res = abs(k * w * (1.0 - t * t) / ((w + t) * (1.0 + w * t)) - 1.0)
         worst_res = max(worst_res, float(res))
-        values.append(td.phi_e)
+        values.append(core.phi_e(float(t), k))
     monotone = bool(np.all(np.diff(values) > 0))
     anchors = (
         abs(core.phi_e(0.5, 2) - 0.3073950510845034) < 1e-12

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU, ResolutionError, _validate_k, _validate_t, moebius_lift, write_csv
+from .core import TAU, ResolutionError, _validate_count, _validate_t, moebius_lift, write_csv
 
 # bound on the rounding error of the composed lift, in ulp(pi) per unit of
 # G'(phi) (see iterated_lift), held against a long-double lift by
@@ -78,7 +78,7 @@ class TreeSpec:
     def __post_init__(self):
         if self.variant not in ("rooted", "full"):
             raise ValueError(f"variant must be 'rooted' or 'full', got {self.variant!r}")
-        _validate_k(self.k)
+        _validate_count("branching number k", self.k, 2)
         # an integral float such as 2.0 is refused too: the step schedule
         # repeats k level times, which needs a true int
         if not isinstance(self.level, numbers.Integral) or not 0 <= self.level <= MAX_LEVEL:
@@ -347,8 +347,8 @@ def enumerate_zeros(
     _validate_t(t)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers is not None:
+        _validate_count("workers", workers, 1)
     n_zeros = tree.vertex_count
     if n_zeros > MAX_ZEROS:
         raise ValueError(f"{n_zeros} zeros exceed the enumeration cap of {MAX_ZEROS}")

@@ -213,9 +213,9 @@ def test_spectra_json(tmp_path):
 
 @pytest.mark.parametrize("flag, value, reason", [
     # zero steps would average to NaN, which json.dump writes as invalid JSON
-    ("--birkhoff-steps", 0, "need n_steps >= 1"),
+    ("--birkhoff-steps", 0, "n_steps must be an integer >= 1"),
     # one level mean has no spread: its stderr was written as Infinity
-    ("--mme-depth", 1, "depth must be >= 2"),
+    ("--mme-depth", 1, "depth must be an integer >= 2"),
     # level 0 leaves no scale for the dimension fit, which was once skipped
     ("--dim-level", 0, "fewer than three usable scales"),
 ], ids=["birkhoff-steps-0", "mme-depth-1", "dim-level-0"])

@@ -1,5 +1,7 @@
 import cmath
+import functools
 import math
+import os
 import warnings
 
 import numpy as np
@@ -282,19 +284,60 @@ def test_non_integral_k_is_refused():
     assert ModelParams(np.int64(3), 0.2, 0.5).k == 3
 
 
+def _count_calls():
+    """case id -> (argument, least, call taking the count) for every count
+    argument that goes through core._validate_count besides k."""
+    from cayley_ising import measure, spectra, verify, zeros
+
+    p = ModelParams(2, 0.2, 0.9)
+    em = measure.EmpiricalMeasure(zeros.TreeSpec("rooted", 6, 2), 0.2)
+    birkhoff = functools.partial(spectra.birkhoff_exponents, [0.9], [0.2], 2, n_steps=20, burn_in=2, n_seeds=2)
+    return {
+        "n_steps": ("n_steps", 1, lambda n: birkhoff(n_steps=n)),
+        "burn_in": ("burn_in", 0, lambda n: birkhoff(burn_in=n)),
+        "n_seeds": ("n_seeds", 2, lambda n: birkhoff(n_seeds=n)),
+        "depth": ("depth", 2, lambda n: spectra.lyapunov_mme(p, depth=n)),
+        "octaves": ("octaves", 2, lambda n: spectra.pointwise_dimension(0.9, 0.0, 2, level=12, octaves=n)),
+        "bins": ("bins", 1, lambda n: measure.histogram(em, n)),
+        "cdf-grid": ("grid", 1, lambda n: measure.write_cdf_csv(os.devnull, em, grid=n)),
+        "distance-grid": ("grid", 1, lambda n: verify.rooted_full_distance(4, (0.5,), n)),
+        "workers": ("workers", 1, lambda n: zeros.enumerate_zeros(zeros.TreeSpec("rooted", 4, 2), 0.5, workers=n)),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "n_steps", "burn_in", "n_seeds", "depth", "octaves", "bins", "cdf-grid", "distance-grid", "workers",
+])
+def test_count_arguments_are_integers(case, monkeypatch):
+    # a non-integral count used to reach range or numpy and raise TypeError,
+    # or to be rounded up silently (octaves = 3.5 ran the octaves = 4 fit)
+    from cayley_ising import measure, zeros
+
+    name, least, call = _count_calls()[case]
+    call(np.int64(least + 1))  # numpy integers pass
+
+    def no_work(*args):
+        raise AssertionError("the count was used before it was checked")
+
+    monkeypatch.setattr(measure.EmpiricalMeasure, "counts", no_work)
+    monkeypatch.setattr(zeros, "_map_chunks", no_work)
+    for bad in (least + 0.5, float(least + 1)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= {least}, got {bad!r}"):
+            call(bad)
+
+
 def test_tangency_values():
-    td = tangency(0.5, 2)
-    assert td.point == pytest.approx(0.25 + 0.9682458365518543j, abs=1e-12)
-    assert cmath.phase(td.point) == pytest.approx(1.318116071652818, abs=1e-12)
-    assert td.phi_e == pytest.approx(0.3073950510845034, abs=1e-12)
-    assert tangency(0.9, 2).phi_e == pytest.approx(1.871807547155416, abs=1e-12)
-    assert tangency(0.4, 2).phi_e == pytest.approx(0.08369042447459141, abs=1e-12)
+    w = tangency(0.5, 2)
+    assert w == pytest.approx(0.25 + 0.9682458365518543j, abs=1e-12)
+    assert cmath.phase(w) == pytest.approx(1.318116071652818, abs=1e-12)
+    assert phi_e(0.5, 2) == pytest.approx(0.3073950510845034, abs=1e-12)
+    assert phi_e(0.9, 2) == pytest.approx(1.871807547155416, abs=1e-12)
+    assert phi_e(0.4, 2) == pytest.approx(0.08369042447459141, abs=1e-12)
 
 
 def test_tangency_residual_and_reciprocal_pair():
     for t in np.linspace(0.34, 0.99, 80):
-        td = tangency(float(t), 2)
-        w = td.point
+        w = tangency(float(t), 2)
         assert abs(abs(w) - 1.0) <= 1e-12
         # the defining multiple-fixed-point condition
         assert abs(2 * w * (1 - t * t) / ((w + t) * (1 + w * t)) - 1.0) <= 1e-10
@@ -302,9 +345,9 @@ def test_tangency_residual_and_reciprocal_pair():
 
 def test_tangency_limits_and_domain():
     # w -> 1 and phi_e -> 0 at the critical temperature
-    td = tangency(1.0 / 3.0 + 1e-8, 2)
-    assert abs(td.point - 1.0) < 1e-3
-    assert td.phi_e < 1e-3
+    t = 1.0 / 3.0 + 1e-8
+    assert abs(tangency(t, 2) - 1.0) < 1e-3
+    assert phi_e(t, 2) < 1e-3
     with pytest.raises(ValueError):
         tangency(0.2, 2)
     with pytest.raises(ValueError):

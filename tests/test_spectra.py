@@ -11,6 +11,8 @@ from cayley_ising.core import (
     ModelParams,
     ResolutionError,
     critical_temperature,
+    disk_root,
+    fixed_points,
     interior_support,
     lift_eval,
     moebius_lift,
@@ -22,11 +24,9 @@ from cayley_ising.spectra import (
     _LOG_BLOCK,
     MmeEstimate,
     OutsideSupportError,
-    _chi_acim,
     _preimages,
     _renorm_stride,
     birkhoff_exponents,
-    disk_fixed_point,
     kappa_curve,
     lyapunov_acim_closed,
     lyapunov_mme,
@@ -52,7 +52,7 @@ def test_chi_closed_from_jensen_pieces():
     # chi = log|B'(w_D)| + (k-1) log|(1+t w_D)/(w_D+t)| must telescope to the
     # closed form for complex disk fixed points too
     p = ModelParams(3, 0.35, 1.3)
-    w = disk_fixed_point(p)
+    w = disk_root(fixed_points(p.t, p.k, [p.phi])[0])
     k, t = p.k, p.t
     mult = p.z * k * (w + t) ** (k - 1) * (1 - t * t) / (1 + w * t) ** (k + 1)
     pieces = math.log(abs(mult)) + (k - 1) * math.log(abs((1 + t * w) / (w + t)))
@@ -319,6 +319,18 @@ def test_mme_guards():
         lyapunov_mme(ModelParams(2, 0.6, 0.0), depth=6)
 
 
+@pytest.mark.parametrize("k, depth", [(2, np.int64(64)), (np.int64(2), 64), (np.int64(8), np.int64(22))])
+def test_mme_memory_guard_holds_for_numpy_counts(k, depth, monkeypatch):
+    # 2 ** np.int64(64) wraps to 0 in int64, which once passed the guard and
+    # went on to allocate level after level of preimages
+    def no_pullback(*args):
+        raise AssertionError("pullback started past the memory guard")
+
+    monkeypatch.setattr("cayley_ising.spectra._preimages", no_pullback)
+    with pytest.raises(ValueError, match="memory guard"):
+        lyapunov_mme(ModelParams(k, 0.2, 0.9), depth=depth)
+
+
 def test_pointwise_dimension_lebesgue():
     fit = pointwise_dimension(0.9, 0.0, 2, level=18)
     assert fit.value == pytest.approx(1.0, abs=5e-3)
@@ -429,14 +441,17 @@ def _bits(*values) -> bytes:
 
 
 def _kappa_one_by_one(t, k, phis):
-    """Each angle on its own: disk_fixed_point, then chi and log k / chi."""
+    """Each angle on its own, past kappa_curve: a one-angle root solve, its
+    disk root, then chi = log(k(1-t^2)/|1+w t|^2) and log k / chi."""
     out = []
     for phi in phis:
         if not interior_support(phi, t, k):
             out.append((phi, None, math.nan, math.nan, False))
             continue
-        w = disk_fixed_point(ModelParams(k, t, phi))
-        chi = _chi_acim(w, t, k)
+        w = disk_root(fixed_points(t, k, [phi])[0])
+        if w is None:
+            raise ResolutionError(f"no disk fixed point at phi={phi}")
+        chi = math.log(k * (1.0 - t * t) / abs(1.0 + w * t) ** 2)
         out.append((phi, w, chi, math.log(k) / chi, True))
     return out
 
@@ -487,7 +502,7 @@ def test_kappa_curve_edge_angle_keeps_the_curve():
     edge_phi = 0.3278182082463264  # in the support, one ulp past phi_e
     assert interior_support(edge_phi, t, 2)
     with pytest.raises(ResolutionError, match="no disk fixed point"):
-        disk_fixed_point(ModelParams(2, t, edge_phi))
+        lyapunov_acim_closed(ModelParams(2, t, edge_phi))
     got = kappa_curve(t, 2, [1.0, 2.0, edge_phi])
     want = kappa_curve(t, 2, [1.0, 2.0])
     for pt, ref in zip(got[:2], want):
@@ -496,6 +511,34 @@ def test_kappa_curve_edge_angle_keeps_the_curve():
     edge = got[2]
     assert edge.phi == edge_phi and edge.in_support and edge.w_disk is None
     assert math.isnan(edge.chi) and math.isnan(edge.kappa)
+
+
+def test_chi_closed_is_the_kappa_curve_chi():
+    # one path per closed form: the single-angle chi is kappa_curve's, bit for
+    # bit, and refuses exactly where the curve marks an angle
+    refused = {OutsideSupportError: 0, ResolutionError: 0}
+    for k in (2, 3, 4):
+        tc = critical_temperature(k)
+        for t in (0.0, tc, tc + 0.05, 0.9):
+            phis = [float(phi) for phi in np.linspace(-math.pi, math.pi, 41)[1:]]
+            if t >= tc:
+                edge = phi_e(t, k)
+                phis += [edge + 1e-6, edge - 1e-6, edge + 1e-7, edge - 1e-7, math.nextafter(edge, 4.0)]
+            for phi in phis:
+                (pt,) = kappa_curve(t, k, [phi])
+                p = ModelParams(k, t, phi)
+                if not pt.in_support:
+                    with pytest.raises(OutsideSupportError):
+                        lyapunov_acim_closed(p)
+                    refused[OutsideSupportError] += 1
+                elif pt.w_disk is None:
+                    with pytest.raises(ResolutionError, match="no disk fixed point"):
+                        lyapunov_acim_closed(p)
+                    refused[ResolutionError] += 1
+                else:
+                    assert _bits(lyapunov_acim_closed(p)) == _bits(pt.chi)
+    # k = 2, t = 0.9 one ulp past the edge has no disk root
+    assert refused[OutsideSupportError] > 0 and refused[ResolutionError] > 0
 
 
 def test_chi_and_kappa_curve_refuse_subnormal_t_power_k():
