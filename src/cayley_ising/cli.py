@@ -27,16 +27,14 @@ MAX_GRID_POINTS = 1 << 20
 
 
 def _parse_t(text: str) -> float:
-    """Temperature variable as a float; 'p/q' input is rounded once to the nearest double."""
+    """Temperature variable as a float; 'p/q' input is rounded once to the
+    nearest double.  Its range is core._validate_t's, checked where it is used."""
     try:
-        value = float(Fraction(text)) if "/" in text else float(text)
+        return float(Fraction(text)) if "/" in text else float(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"t has a zero denominator: {text}") from exc
     except OverflowError as exc:
-        raise ValueError(f"t must lie in [0, 1), got {text}") from exc
-    if not (0 <= value < 1):
-        raise ValueError(f"t must lie in [0, 1), got {text}")
-    return value
+        raise ValueError(f"t overflows a double: {text}") from exc
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -80,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--t", type=str, required=True)
     pz.add_argument("--tree", choices=("rooted", "full"), default="rooted")
     pz.add_argument("--tol", type=float, default=1e-10)
-    pz.add_argument("--workers", type=int, default=os.cpu_count())
+    pz.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     pz.add_argument("--out", type=str, required=True)
     pz.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -212,8 +210,7 @@ def _cmd_free_energy(args) -> int:
         print(f"wrote radial scan ({len(rows)} points) to {args.out}")
         return 0
     if args.mode == "report":
-        if not args.radius > 0:
-            raise ValueError(f"--radius must be positive, got {args.radius}")
+        core._validate_positive("--radius", args.radius)
         z = args.radius * complex(math.cos(args.phi), math.sin(args.phi))
         rep = free_energy.free_energy_report(z, t, args.k, args.n)
         core.write_json(args.out, rep.to_dict())

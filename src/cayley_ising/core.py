@@ -73,6 +73,21 @@ def _validate_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _validate_finite(name: str, value) -> None:
+    """Every entry of a real or complex value, scalar or array, is finite."""
+    if not np.isfinite(value).all():
+        value = np.asarray(value)
+        raise ValueError(f"{name} must be finite, got {value[~np.isfinite(value)].flat[0]}")
+
+
+def _validate_positive(name: str, values) -> None:
+    """Every entry of values, scalar or array, is finite and positive."""
+    values = np.asarray(values, dtype=float)
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if bad.any():
+        raise ValueError(f"{name} must be finite and positive, got {values[bad].flat[0]}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Branching number k, temperature variable t in [0,1), field angle phi in (-pi, pi]."""
@@ -170,6 +185,8 @@ def fixed_points(t: float, k: int, phis) -> list[list[complex]]:
     """All fixed points of the map at every field angle of phis, one row per
     angle sorted by (|w|, arg), from one batched root solve: row i is what
     the one-angle call fixed_points(t, k, [phis[i]]) gives, bit for bit.
+    The phis are any finite angles, z = e^{i phi}; a NaN or an infinity
+    raises ValueError.
 
     One companion matrix per angle, all stacked into one np.linalg.eigvals
     call, then four Newton steps against the full polynomial P, polyval
@@ -191,6 +208,7 @@ def fixed_points(t: float, k: int, phis) -> list[list[complex]]:
     """
     _validate_t(t)
     _validate_count("branching number k", k, 2)
+    _validate_finite("field angle phi", phis)
     tk = t**k
     if 0.0 < t and tk < np.finfo(float).tiny:
         raise ResolutionError(
@@ -198,7 +216,7 @@ def fixed_points(t: float, k: int, phis) -> list[list[complex]]:
             "double; float64 cannot hold the disk fixed point and its reflection"
         )
     deflated = tk < np.finfo(float).eps
-    coeffs = _fixed_point_poly([ModelParams(k, t, float(phi)).z for phi in phis], t, k)
+    coeffs = _fixed_point_poly([cmath.exp(1j * float(phi)) for phi in phis], t, k)
     desc = (coeffs[:, : k + 1] if deflated else coeffs)[:, ::-1]
     n, m = desc.shape[0], desc.shape[1] - 1
     companion = np.zeros((n, m, m), dtype=complex)
@@ -279,8 +297,7 @@ def interior_support(phi: float, t: float, k: int) -> bool:
     is then expanding on the circle and has a fixed point in the disk).  A
     phi that is not finite raises ValueError."""
     _validate_t(t)
-    if not math.isfinite(phi):
-        raise ValueError(f"field angle phi must be finite, got {phi}")
+    _validate_finite("field angle phi", phi)
     if t < critical_temperature(k):
         return True
     return abs(math.remainder(phi, TAU)) > phi_e(t, k)

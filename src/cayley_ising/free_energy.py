@@ -10,14 +10,13 @@ log-log slope in the crossing parameter y recovers the exponent.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import write_csv
+from .core import _validate_finite, _validate_positive, write_csv
 from .measure import EmpiricalMeasure, symmetric_mass
 from .spectra import MIN_ATOMS, log_log_fit, pointwise_dimension
 from .zeros import TreeSpec, enumerate_zeros
@@ -39,11 +38,6 @@ def temperature_of(t: float) -> float:
     return -2.0 / math.log(t)
 
 
-def _require_finite_z(z: complex) -> None:
-    if not cmath.isfinite(complex(z)):
-        raise ValueError(f"z must be finite, got {z}")
-
-
 # one zero set at a time: every caller reads one (level, k, t) for all its
 # points before the next, and a set is 16 bytes per zero, 134 MB at level 22
 # and 268 MB at the MAX_ZEROS cap, which a deeper cache would multiply
@@ -55,7 +49,7 @@ def _cached_angles(level: int, k: int, t: float):
 
 def free_energy_electrostatic(z: complex, t: float, k: int, n: int) -> float:
     """-2T * mean(log|z - zeta_i|) + T(log|z| + log t), edge/vertex ratio 1."""
-    _require_finite_z(z)
+    _validate_finite("z", z)
     temp = temperature_of(t)
     if z == 0:
         raise ValueError("z = 0 is a pole of the log|z| term")
@@ -75,7 +69,7 @@ def free_energy_recursive(z: complex, t: float, k: int, n: int) -> float:
     electrostatic route up to the finite-size T*log(t)/|V| edge-count
     correction (the electrostatic form fixes the edge/vertex ratio to 1).
     """
-    _require_finite_z(z)
+    _validate_finite("z", z)
     temp = temperature_of(t)
     if z == 0:
         raise ValueError("z = 0 is a pole of the field term")
@@ -100,7 +94,7 @@ def free_energy_recursive(z: complex, t: float, k: int, n: int) -> float:
 def magnetization(z: complex, t: float, k: int, n: int) -> complex:
     """M(z) = -4z * mean(1/(z - zeta_i)) + 2; defined off the zero support.
     M(0) = 2 exactly, from the same formula and its validation."""
-    _require_finite_z(z)
+    _validate_finite("z", z)
     atoms = _cached_angles(n, k, t)
     dist = np.abs(z - atoms)
     if np.min(dist) < 1e-9:
@@ -112,7 +106,7 @@ def radial_scan(phi: float, t: float, k: int, n: int, radii) -> list[tuple[float
     """(r, F(r e^{i phi})) rows for the diagnostic radial regression.  Every
     radius must be positive (r <= 0 is not on the ray at angle phi), else
     ValueError before anything is evaluated."""
-    _require_positive("radius", radii)
+    _validate_positive("radius", radii)
     return [
         (float(r), free_energy_electrostatic(r * complex(math.cos(phi), math.sin(phi)), t, k, n))
         for r in radii
@@ -136,22 +130,13 @@ class SingularFit:
 
 def order_from_kappa(kappa_hat: float) -> int:
     """Largest integer m with 2m < kappa (so 2m < kappa <= 2m+2)."""
-    if not (math.isfinite(kappa_hat) and kappa_hat > 0):
-        raise ValueError(f"kappa must be finite and positive, got {kappa_hat}")
+    _validate_positive("kappa", kappa_hat)
     return max(math.ceil(kappa_hat / 2.0) - 1, 0)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 # a singular-exponent fit below this R^2 is flagged unstable (SingularFit.stable)
 _R2_STABLE = 0.98
-
-
-def _require_positive(name: str, values) -> None:
-    """ValueError unless every entry of values is finite and positive."""
-    values = np.asarray(values, dtype=float)
-    bad = ~(np.isfinite(values) & (values > 0.0))
-    if bad.any():
-        raise ValueError(f"{name} must be finite and positive, got {values[bad].flat[0]}")
 
 
 def _panels(y: float, delta0: float):
@@ -182,8 +167,8 @@ def singular_part(y, phi: float, m: int, em: EmpiricalMeasure, delta0: float):
     relatively and is dropped.  Every y and delta0 must be finite and
     positive, else ValueError.
     """
-    _require_positive("delta0", delta0)
-    _require_positive("y", y)
+    _validate_positive("delta0", delta0)
+    _validate_positive("y", y)
     y_list = np.asarray(y, dtype=float).ravel().tolist()
     panels = [_panels(yj, delta0) for yj in y_list]
     masses = np.split(
@@ -223,10 +208,10 @@ def singular_exponent(
     makes at most three `counts` calls: the prior, the resolution probe and
     the quadrature panels.
     """
-    _require_positive("delta0", delta0)
+    _validate_positive("delta0", delta0)
     if ys is not None:
         ys = np.asarray(ys, dtype=float).ravel()
-        _require_positive("y", ys)
+        _validate_positive("y", ys)
         distinct = len(np.unique(ys))
         if distinct < 3:
             raise ValueError(f"fewer than three usable scales: the y grid has {distinct} distinct values")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import zeros
-from .core import _validate_count, write_csv
+from .core import _validate_count, _validate_finite, write_csv
 from .zeros import TreeSpec, enumerate_zeros
 
 
@@ -66,8 +66,7 @@ def symmetric_mass(phi: float, zeta, em: EmpiricalMeasure):
 
     phi must be finite and every zeta non-negative, NaN refused (zeta = inf
     is the whole period); otherwise ValueError."""
-    if not math.isfinite(phi):
-        raise ValueError(f"symmetric_mass needs a finite centre, got phi = {phi}")
+    _validate_finite("centre phi", phi)
     zeta = np.asarray(zeta, dtype=float)
     bad = zeta[~(zeta >= 0.0)]
     if bad.size:

@@ -31,11 +31,11 @@ from .core import (
     ModelParams,
     ResolutionError,
     _validate_count,
+    _validate_positive,
     critical_temperature,
     disk_root,
     fixed_points,
     interior_support,
-    lift_eval,
     moebius_lift,
     phi_e,
     write_csv,
@@ -136,14 +136,15 @@ def birkhoff_exponents(
     included, so no ufunc call casts.  Returns (means, stderrs) with the
     standard error taken across seeds.
 
-    Bad input raises ValueError before any stepping: a step count, burn-in
-    or seed count that is not an integer in range (a stderr needs two
+    Bad input raises ValueError before any stepping: a step count, burn-in,
+    seed count or seed that is not an integer in range (a stderr needs two
     seeds), phis with more than one dimension, ts that does not broadcast to
     phis, no parameters at all, or an angle that is not finite.
     """
     _validate_count("n_steps", n_steps, 1)
     _validate_count("burn_in", burn_in, 0)
     _validate_count("n_seeds", n_seeds, 2)
+    _validate_count("seed", seed, 0)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     ts = np.asarray(ts, dtype=float)
     if phis.ndim > 1:
@@ -220,7 +221,7 @@ def _preimages(targets: np.ndarray, phi: float, t: float, k: int) -> tuple[np.nd
     the lift's slope at each: each goal angle of the branch window
     [lift(-pi), lift(pi)) inverts in closed form through psi_{-t}
     (core.moebius_lift), and lift' = k / psi_{-t}' there."""
-    base = float(lift_eval(-math.pi, ModelParams(k, t, phi)))
+    base = float(k * moebius_lift(-math.pi, t)[0] + phi)
     j0 = np.ceil((base - targets) / TAU)
     goals = targets[None, :] + TAU * (j0[None, :] + np.arange(k)[:, None])
     theta, slope = moebius_lift((goals.ravel() - phi) / k, -t)
@@ -302,8 +303,8 @@ def pointwise_dimension(
     an integer at least 2 (three scales), and |phi| < pi, else ValueError;
     phi outside the zero support raises OutsideSupportError.
     """
-    if coarsest is not None and not (math.isfinite(coarsest) and coarsest > 0):
-        raise ValueError(f"coarsest scale must be finite and positive, got {coarsest}")
+    if coarsest is not None:
+        _validate_positive("coarsest scale", coarsest)
     _validate_count("octaves", octaves, 2)
     if abs(phi) >= math.pi:
         raise ValueError(

@@ -436,6 +436,7 @@ def check_free_energy(rng, quick: bool) -> list[CheckResult]:
 
 
 def run_verification(seed: int = 0, quick: bool = False) -> dict:
+    core._validate_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
     checks += check_lift_structure(rng, quick)

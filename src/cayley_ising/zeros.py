@@ -31,14 +31,14 @@ count reads the lift as on the seam.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TAU, ResolutionError, _validate_count, _validate_t, moebius_lift, write_csv
+from .core import TAU, ResolutionError, moebius_lift, write_csv
+from .core import _validate_count, _validate_finite, _validate_positive, _validate_t
 
 # bound on the rounding error of the composed lift, in ulp(pi) per unit of
 # G'(phi) (see iterated_lift), held against a long-double lift by
@@ -79,10 +79,9 @@ class TreeSpec:
         if self.variant not in ("rooted", "full"):
             raise ValueError(f"variant must be 'rooted' or 'full', got {self.variant!r}")
         _validate_count("branching number k", self.k, 2)
-        # an integral float such as 2.0 is refused too: the step schedule
-        # repeats k level times, which needs a true int
-        if not isinstance(self.level, numbers.Integral) or not 0 <= self.level <= MAX_LEVEL:
-            raise ValueError(f"level must lie in [0, {MAX_LEVEL}] and be an integer, got {self.level!r}")
+        _validate_count("level", self.level, 0)
+        if self.level > MAX_LEVEL:
+            raise ValueError(f"level must lie in [0, {MAX_LEVEL}], got {self.level!r}")
         if self.variant == "full" and self.level < 1:
             raise ValueError("the full tree requires level >= 1")
 
@@ -161,9 +160,7 @@ def iterated_lift(phi, tree: TreeSpec, t: float):
             f"{tree.vertex_count} vertices exceed 2^62; the int64 winding would overflow"
         )
     phi = np.asarray(phi, dtype=float)
-    finite = np.isfinite(phi)
-    if not finite.all():
-        raise ValueError(f"the lift needs finite angles, got phi = {phi[~finite].flat[0]}")
+    _validate_finite("phi", phi)
     flat = phi.reshape(-1)
     psi = flat.copy()
     wind = _reduce(psi).astype(np.int64)
@@ -205,9 +202,9 @@ def _map_chunks(fn, xs, workers):
     at most one thread per CPU.  fn is elementwise, so the result does not
     depend on the slicing."""
     n = len(xs[0])
-    size = min(_CHUNK, max(-(-n // (workers or 1)), _MIN_CHUNK))
+    size = min(_CHUNK, max(-(-n // workers), _MIN_CHUNK))
     chunks = [[x[i : i + size] for x in xs] for i in range(0, max(n, 1), size)]
-    if workers and workers > 1 and len(chunks) > 1:
+    if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(lambda c: fn(*c), chunks))
     else:
@@ -324,7 +321,7 @@ def _newton_starts(m, tree: TreeSpec, t: float, workers):
 
 
 def enumerate_zeros(
-    tree: TreeSpec, t: float, tol: float = 1e-10, workers: int | None = None
+    tree: TreeSpec, t: float, tol: float = 1e-10, workers: int = 1
 ) -> ZeroSet:
     """All Lee-Yang zeros of the tree at temperature t, by branch solves.
 
@@ -334,7 +331,7 @@ def enumerate_zeros(
     tol : angular residual tolerance; each returned angle satisfies
         |F_m(phi)| <= tol, and since F_m' >= 1 this bounds |phi - phi_m|
         up to the rounding of F_m.
-    workers : number of threads (>= 1, None for one) for the chunked grid
+    workers : number of threads (>= 1) for the chunked grid
         lift and branch solves; both are elementwise, so the output does not
         depend on it.
 
@@ -345,10 +342,8 @@ def enumerate_zeros(
     ResolutionError.
     """
     _validate_t(t)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if workers is not None:
-        _validate_count("workers", workers, 1)
+    _validate_positive("tol", tol)
+    _validate_count("workers", workers, 1)
     n_zeros = tree.vertex_count
     if n_zeros > MAX_ZEROS:
         raise ValueError(f"{n_zeros} zeros exceed the enumeration cap of {MAX_ZEROS}")

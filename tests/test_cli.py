@@ -60,6 +60,26 @@ def test_exit_codes(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("t", ["1.5", "-0.5", "nan", "inf"])
+@pytest.mark.parametrize("args", [
+    ["zeros", "--n", 4],
+    ["measure", "--n", 4, "--kind", "cdf"],
+    ["measure", "--n", 4, "--kind", "hist"],
+    ["spectra", "--phi", 0.5],
+    ["spectra", "--phi-grid=-3:3:0.5"],
+    ["free-energy", "--n", 8, "--mode", "radial"],
+    ["free-energy", "--n", 8, "--mode", "singular"],
+    ["free-energy", "--n", 8, "--mode", "report"],
+], ids=["zeros", "measure-cdf", "measure-hist", "spectra-phi", "spectra-phi-grid",
+        "free-energy-radial", "free-energy-singular", "free-energy-report"])
+def test_t_outside_the_unit_interval_is_refused(tmp_path, capsys, args, t):
+    # t's range is core's rule, reached by every subcommand before it writes
+    out = tmp_path / "x.out"
+    assert run([args[0], "--k", 2, "--t", t, *args[1:], "--out", out]) == 1
+    assert "t must lie in [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _unreachable(*args, **kwargs):
     raise AssertionError("the computation ran before the output path was checked")
 
@@ -247,6 +267,14 @@ def test_kappa_grid_csv(tmp_path):
     assert 0 in flags and 1 in flags  # the grid crosses the zero-free arc
 
 
+def test_kappa_grid_reads_the_seam(tmp_path):
+    # -pi is z = -1; the grid was once refused as a field angle outside (-pi, pi]
+    out = tmp_path / "kap.csv"
+    assert run(["spectra", "--k", 2, "--t", "0.7", "--phi-grid=-3.141592653589793:3.14:0.5", "--out", out]) == 0
+    first = out.read_text().splitlines()[1].split(",")
+    assert float(first[0]) == -math.pi and first[-1] == "1"
+
+
 def test_free_energy_radial(tmp_path):
     out = tmp_path / "rad.csv"
     assert run(["free-energy", "--k", 2, "--t", "0.5", "--n", 10, "--phi", "0.0",
@@ -330,8 +358,8 @@ def test_free_energy_kappa_prior(tmp_path, capsys):
     # r <= 0 is F on the opposite ray, not on the ray at angle phi
     (["--t", 0.5, "--phi", 0.3, "--mode", "radial", "--r-grid=-1:-0.5:0.25"], "radius must be finite and positive"),
     (["--t", 0.5, "--phi", 0.3, "--mode", "radial", "--r-grid=0:1.5:0.5"], "radius must be finite and positive"),
-    (["--t", 0.5, "--phi", 0.3, "--mode", "report", "--radius", -2], "--radius must be positive"),
-    (["--t", 0.5, "--phi", 0.3, "--mode", "report", "--radius", 0], "--radius must be positive"),
+    (["--t", 0.5, "--phi", 0.3, "--mode", "report", "--radius", -2], "--radius must be finite and positive"),
+    (["--t", 0.5, "--phi", 0.3, "--mode", "report", "--radius", 0], "--radius must be finite and positive"),
     # a field angle outside (-pi, pi] is refused by every mode alike
     (["--t", 0.2, "--n", 20, "--phi", 4.0, "--mode", "singular", "--kappa-prior", 1.0], "field angle phi"),
     (["--t", 0.5, "--phi", 7.0, "--mode", "report"], "field angle phi"),

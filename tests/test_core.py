@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -323,6 +324,90 @@ def test_count_arguments_are_integers(case, monkeypatch):
     monkeypatch.setattr(zeros, "_map_chunks", no_work)
     for bad in (least + 0.5, float(least + 1)):
         with pytest.raises(ValueError, match=f"{name} must be an integer >= {least}, got {bad!r}"):
+            call(bad)
+
+
+class _Worked(Exception):
+    """Raised where a call starts its work, once its arguments have passed."""
+
+
+def _work(*args, **kwargs):
+    raise _Worked
+
+
+def _rule_cases():
+    """case id -> (rule, argument name, call taking the value, a numpy value
+    that passes) for every site of core._validate_finite and
+    core._validate_positive, and for the count sites of level, seed and
+    workers."""
+    from cayley_ising import cli, free_energy, measure, spectra, verify, zeros
+
+    em = measure.EmpiricalMeasure(zeros.TreeSpec("rooted", 6, 2), 0.2)
+    tree = zeros.TreeSpec("rooted", 4, 2)
+    f64, i64 = np.float64, np.int64
+
+    def report_radius(r):
+        args = ["free-energy", "--k", "2", "--t", "0.5", "--mode", "report", f"--radius={r}", "--out", os.devnull]
+        return cli._cmd_free_energy(cli.build_parser().parse_args(args))
+
+    return {
+        "interior-phi": ("finite", "field angle phi", lambda v: interior_support(v, 0.2, 2), f64(0.5)),
+        "fixed-points-phi": ("finite", "field angle phi", lambda v: fixed_points(0.2, 2, [0.5, v]), f64(0.5)),
+        "lift-phi": ("finite", "phi", lambda v: zeros.iterated_lift([0.5, v], tree, 0.2), f64(0.5)),
+        "mass-centre": ("finite", "centre phi", lambda v: measure.symmetric_mass(v, 0.1, em), f64(0.5)),
+        "electrostatic-z": ("finite", "z", lambda v: free_energy.free_energy_electrostatic(v, 0.5, 2, 4), f64(2.0)),
+        "recursive-z": ("finite", "z", lambda v: free_energy.free_energy_recursive(v, 0.5, 2, 4), f64(2.0)),
+        "magnetization-z": ("finite", "z", lambda v: free_energy.magnetization(v, 0.5, 2, 4), f64(2.0)),
+        "tol": ("positive", "tol", lambda v: zeros.enumerate_zeros(tree, 0.5, tol=v), f64(1e-10)),
+        "coarsest": ("positive", "coarsest scale",
+                     lambda v: spectra.pointwise_dimension(0.9, 0.2, 2, level=6, coarsest=v), f64(0.1)),
+        "kappa": ("positive", "kappa", free_energy.order_from_kappa, f64(1.5)),
+        "part-delta0": ("positive", "delta0", lambda v: free_energy.singular_part(0.01, 0.0, 0, em, v), f64(0.5)),
+        "part-y": ("positive", "y", lambda v: free_energy.singular_part([0.01, v], 0.0, 0, em, 0.5), f64(0.01)),
+        "exponent-delta0": ("positive", "delta0", lambda v: free_energy.singular_exponent(0.0, 0.2, 2, delta0=v),
+                            f64(0.5)),
+        "exponent-y": ("positive", "y",
+                       lambda v: free_energy.singular_exponent(0.0, 0.2, 2, ys=[v, 0.01, 0.02]), f64(0.005)),
+        "radial-radius": ("positive", "radius", lambda v: free_energy.radial_scan(0.3, 0.5, 2, 4, [2.0, v]), f64(2.0)),
+        "cli-radius": ("positive", "--radius", report_radius, f64(2.0)),
+        "level": ("count", "level", lambda v: zeros.TreeSpec("rooted", v, 2), i64(3)),
+        "birkhoff-seed": ("count", "seed",
+                          lambda v: spectra.birkhoff_exponents([0.9], [0.2], 2, n_steps=20, seed=v), i64(3)),
+        "verify-seed": ("count", "seed", lambda v: verify.run_verification(seed=v, quick=True), i64(3)),
+        "workers": ("count", "workers", lambda v: zeros.enumerate_zeros(tree, 0.5, workers=v), i64(2)),
+    }
+
+
+_BAD_VALUES = {
+    "finite": (math.nan, math.inf, -math.inf),
+    "positive": (math.nan, math.inf, -math.inf, 0.0, -1.0),
+    "count": (2.5,),
+}
+
+
+@pytest.mark.parametrize("case", [
+    "interior-phi", "fixed-points-phi", "lift-phi", "mass-centre", "electrostatic-z", "recursive-z",
+    "magnetization-z", "tol", "coarsest", "kappa", "part-delta0", "part-y", "exponent-delta0", "exponent-y",
+    "radial-radius", "cli-radius", "level", "birkhoff-seed", "verify-seed", "workers",
+])
+def test_argument_rules(case, monkeypatch):
+    # one rule per argument kind, stated in core: a non-finite value, a real
+    # that is not positive or a count that is not an integer is refused,
+    # naming the argument, before the call starts its work; numpy values pass
+    from cayley_ising import free_energy, measure, zeros
+
+    rule, name, call, good = _rule_cases()[case]
+    for target, attr in [
+        (np.linalg, "eigvals"), (np.random, "default_rng"), (zeros, "moebius_lift"), (zeros, "_map_chunks"),
+        (measure.EmpiricalMeasure, "counts"), (free_energy, "_cached_angles"), (free_energy, "TreeSpec"),
+    ]:
+        monkeypatch.setattr(target, attr, _work)
+    try:
+        call(good)
+    except _Worked:
+        pass
+    for bad in _BAD_VALUES[rule]:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
             call(bad)
 
 

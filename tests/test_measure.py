@@ -217,7 +217,7 @@ def test_counts_reject_nan_and_keep_infinities():
 
 
 def test_symmetric_mass_rejects_nan_centre():
-    with pytest.raises(ValueError, match="phi = nan"):
+    with pytest.raises(ValueError, match="centre phi must be finite, got nan"):
         symmetric_mass(math.nan, 0.1, em(n=4, t=0.4))
 
 

@@ -246,12 +246,26 @@ def test_birkhoff_at_the_small_strides(k, t):
     ([0.1], [0.2, 0.3], r"ts of shape \(2,\) does not broadcast to phis of shape \(1,\)"),
 ], ids=["nan", "inf", "-inf", "empty", "empty-both", "2-D", "ts-longer", "phis-shorter"])
 def test_birkhoff_refuses_bad_parameters_before_stepping(phis, ts, match, monkeypatch):
-    def no_orbits(*args, **kwargs):
-        raise AssertionError("orbits seeded before the parameters were checked")
-
-    monkeypatch.setattr(np.random, "default_rng", no_orbits)
+    monkeypatch.setattr(np.random, "default_rng", _no_orbits)
     with pytest.raises(ValueError, match=match):
         birkhoff_exponents(phis, ts, 2, n_steps=20_000)
+
+
+def _no_orbits(*args, **kwargs):
+    raise AssertionError("orbits seeded before the parameters were checked")
+
+
+def test_seed_is_a_count(monkeypatch):
+    # a non-integer seed reached numpy's SeedSequence, which raised TypeError
+    from cayley_ising import verify
+
+    case = dict(phis=[0.9], ts=[0.2], k=2, n_steps=200, n_seeds=4)
+    assert np.array_equal(birkhoff_exponents(**case, seed=np.int64(3))[0], birkhoff_exponents(**case, seed=3)[0])
+    monkeypatch.setattr(np.random, "default_rng", _no_orbits)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got 1.5"):
+        birkhoff_exponents(**case, seed=1.5)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got 2.5"):
+        verify.run_verification(seed=2.5)
 
 
 def test_preimages_invert_the_lift():
@@ -406,6 +420,19 @@ def test_non_finite_angle_is_refused(t):
     with pytest.raises(ValueError, match="must be finite") as exc:
         pointwise_dimension(math.nan, t, 2, level=12)
     assert not isinstance(exc.value, OutsideSupportError)
+
+
+@pytest.mark.parametrize("t", [0.2, 0.7])
+@pytest.mark.parametrize("k", [2, 3])
+def test_kappa_curve_reads_the_seam_from_both_sides(k, t):
+    # -pi is z = -1, as interior_support reads it; the curve once refused it
+    # as a field angle outside (-pi, pi]
+    lo, hi = kappa_curve(t, k, [-math.pi, math.pi])
+    assert (lo.chi, lo.kappa, lo.in_support) == (hi.chi, hi.kappa, hi.in_support)
+    assert lo.in_support and lo.w_disk == hi.w_disk.conjugate()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="field angle phi must be finite"):
+            fixed_points(t, k, [bad])
 
 
 def test_kappa_curve_markers():

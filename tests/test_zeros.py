@@ -427,7 +427,7 @@ def test_enumeration_cap_refuses_before_allocating():
 
 
 def test_iterated_lift_rejects_non_finite_angles():
-    with pytest.raises(ValueError, match="phi = nan"):
+    with pytest.raises(ValueError, match="phi must be finite, got nan"):
         iterated_lift([math.nan, math.inf], TreeSpec("rooted", 3, 2), 0.4)
 
 
